@@ -314,6 +314,24 @@ mod tests {
     }
 
     #[test]
+    fn init_twice_with_the_same_profile_is_allowed() {
+        Sim::new(1).run(|ctx| {
+            init(&ctx, NetProfile::sp_am_splitc());
+            init(&ctx, NetProfile::sp_am_splitc());
+            assert_eq!(profile(&ctx), NetProfile::sp_am_splitc());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "am::init called twice with different profiles")]
+    fn init_twice_with_different_profiles_panics() {
+        Sim::new(1).run(|ctx| {
+            init(&ctx, NetProfile::sp_am_splitc());
+            init(&ctx, NetProfile::sp_am_ccxx());
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate AM handler id")]
     fn duplicate_registration_panics() {
         Sim::new(1).run(|ctx| {

@@ -7,7 +7,7 @@ use mpmd_sim::TaskId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a registered handler. Each runtime owns a disjoint id range
 /// (by convention: AM internals 0–15, Split-C 16–63, CC++ 64+).
@@ -20,7 +20,8 @@ pub type Handler<F> = Arc<dyn Fn(&F, AmMsg) + Send + Sync>;
 
 /// Endpoint state, one per node, stored in the fabric's node-data registry.
 pub(crate) struct AmState<F: Fabric> {
-    pub(crate) profile: Mutex<Option<NetProfile>>,
+    /// Set once by [`init`]; read lock-free on every send and dispatch.
+    pub(crate) profile: OnceLock<NetProfile>,
     pub(crate) handlers: RwLock<HashMap<HandlerId, Handler<F>>>,
     /// Tasks currently inside `poll`, guarding against *recursive* polling
     /// (a handler's reply triggering poll-on-send while already inside a
@@ -68,7 +69,7 @@ pub(crate) struct AmState<F: Fabric> {
 impl<F: Fabric> AmState<F> {
     fn new() -> Self {
         AmState {
-            profile: Mutex::new(None),
+            profile: OnceLock::new(),
             handlers: RwLock::new(HashMap::new()),
             in_poll: Mutex::new(HashSet::new()),
             barrier_arrivals: Mutex::new(HashMap::new()),
@@ -89,10 +90,9 @@ impl<F: Fabric> AmState<F> {
         ctx.node_data(AmState::new)
     }
 
-    pub(crate) fn profile(&self) -> NetProfile {
+    pub(crate) fn profile(&self) -> &NetProfile {
         self.profile
-            .lock()
-            .clone()
+            .get()
             .expect("am::init was not called on this node")
     }
 }
@@ -102,15 +102,12 @@ impl<F: Fabric> AmState<F> {
 /// panics (mixed profiles on one node would make measurements meaningless).
 pub fn init<F: Fabric>(ctx: &F, profile: NetProfile) {
     let st = AmState::get(ctx);
-    {
-        let mut p = st.profile.lock();
-        match &*p {
-            None => *p = Some(profile),
-            Some(existing) => assert_eq!(
-                *existing, profile,
-                "am::init called twice with different profiles"
-            ),
-        }
+    if let Err(profile) = st.profile.set(profile) {
+        assert_eq!(
+            st.profile(),
+            &profile,
+            "am::init called twice with different profiles"
+        );
     }
     // A fault model switches the layer into reliable-delivery mode; each
     // node gets one pump daemon driving retransmits/acks while application
@@ -123,7 +120,7 @@ pub fn init<F: Fabric>(ctx: &F, profile: NetProfile) {
 
 /// The profile this node was initialized with.
 pub fn profile<F: Fabric>(ctx: &F) -> NetProfile {
-    AmState::get(ctx).profile()
+    AmState::get(ctx).profile().clone()
 }
 
 /// Register `handler` under `id` on this node. Panics if the id is taken.

@@ -12,7 +12,7 @@ use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric};
 use mpmd_sim::Sim;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const H_SEQ: am::HandlerId = 100;
@@ -264,6 +264,70 @@ fn battery_coalesced_flush_before_sync_read<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
 }
 
+/// A per-node singleton type for the `node_data` battery.
+struct Marker(AtomicU64);
+
+fn marker<F: Fabric>(ctx: &F) -> Arc<Marker> {
+    ctx.node_data(|| Marker(AtomicU64::new(0)))
+}
+
+/// `node_data` is one singleton per (node, type, run): every task of a node
+/// — the root, a `spawn`ed task and a `spawn_on` task placed there by
+/// another node — gets the same `Arc`, different nodes get different ones,
+/// and a run never sees an earlier run's state. `ptrs[n]` collects node
+/// `n`'s singleton address.
+fn battery_node_data<F: Fabric>(ctx: &F, ptrs: &Arc<Vec<AtomicUsize>>) {
+    setup(ctx);
+    let me = ctx.node();
+    let n = ctx.nodes();
+    let mine = marker(ctx);
+    assert_eq!(
+        mine.0.fetch_add(1, Ordering::SeqCst),
+        0,
+        "node {me} saw an earlier run's node_data"
+    );
+    ptrs[me].store(Arc::as_ptr(&mine) as usize, Ordering::SeqCst);
+    am::barrier(ctx);
+    let all: Vec<usize> = ptrs.iter().map(|p| p.load(Ordering::SeqCst)).collect();
+    for (a, pa) in all.iter().enumerate() {
+        for (b, pb) in all.iter().enumerate().skip(a + 1) {
+            assert_ne!(pa, pb, "nodes {a} and {b} share a node_data singleton");
+        }
+    }
+    let peer = (me + 1) % n;
+    assert_eq!(
+        Arc::as_ptr(&ctx.node_data_on(peer, || Marker(AtomicU64::new(0)))) as usize,
+        all[peer],
+        "node_data_on({peer}) disagrees with node {peer}'s own node_data"
+    );
+    // Spawned tasks report through flags; the root asserts after joining.
+    let local_ok = Arc::new(AtomicU64::new(0));
+    let remote_ok = Arc::new(AtomicU64::new(0));
+    let (l2, want_local) = (Arc::clone(&local_ok), all[me]);
+    let t_local = ctx.spawn("nd-local", move |c| {
+        let same = Arc::as_ptr(&marker(&c)) as usize == want_local;
+        l2.store(1 + same as u64, Ordering::SeqCst);
+    });
+    let (r2, want_remote) = (Arc::clone(&remote_ok), all[peer]);
+    let t_remote = ctx.spawn_on(peer, "nd-remote", move |c| {
+        let same = c.node() == peer && Arc::as_ptr(&marker(&c)) as usize == want_remote;
+        r2.store(1 + same as u64, Ordering::SeqCst);
+    });
+    ctx.join(t_local);
+    ctx.join(t_remote);
+    assert_eq!(
+        local_ok.load(Ordering::SeqCst),
+        2,
+        "spawned task got another Arc"
+    );
+    assert_eq!(
+        remote_ok.load(Ordering::SeqCst),
+        2,
+        "spawn_on task got another Arc"
+    );
+    am::barrier(ctx);
+}
+
 // ------------------------------------------------------------------ drivers
 
 macro_rules! conformance {
@@ -375,4 +439,26 @@ fn barrier_sim() {
 fn barrier_local() {
     let entered: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
     LocalFabric::run(4, move |ctx| battery_barrier(&ctx, &entered));
+}
+
+/// Two sequential runs on one test thread: the second must start from fresh
+/// per-node state on both fabrics.
+fn node_data_runs(run: impl Fn(Arc<Vec<AtomicUsize>>)) {
+    for _ in 0..2 {
+        run(Arc::new((0..3).map(|_| AtomicUsize::new(0)).collect()));
+    }
+}
+
+#[test]
+fn node_data_sim() {
+    node_data_runs(|ptrs| {
+        Sim::new(3).run(move |ctx| battery_node_data(&ctx, &ptrs));
+    });
+}
+
+#[test]
+fn node_data_local() {
+    node_data_runs(|ptrs| {
+        LocalFabric::run(3, move |ctx| battery_node_data(&ctx, &ptrs));
+    });
 }

@@ -12,19 +12,21 @@
 //!
 //! With `--fastpath` it instead gates the short-message fast path on wall
 //! clock: a null-RMI throughput microbenchmark (best of three reps) plus the
-//! quick Figure 5 suite, written to `results/BENCH_fastpath.json` and
-//! compared against the committed copy of that same file. It fails (exit 1)
-//! when short-message throughput drops more than 10% below the baseline, or
-//! when the virtual round-trip latency — which is deterministic — changes at
-//! all.
+//! quick Figure 5 suite, compared against the committed
+//! `results/BENCH_fastpath.json`. It fails (exit 1) when short-message
+//! throughput drops more than 10% below the baseline, or when the virtual
+//! round-trip latency — which is deterministic — changes at all.
 //!
 //! With `--local` it gates the wall-clock [`LocalFabric`] hot path: null-RMI
-//! round trips on real OS threads (best of three reps), written to
-//! `results/BENCH_local.json` and compared against the committed copy. It
-//! fails (exit 1) when throughput drops more than 50%, or when a latency
-//! percentile climbs more than one log2 histogram bucket (the histogram is
-//! power-of-two bucketed, so "one bucket" is the finest detectable change)
-//! above the baseline.
+//! round trips on real OS threads (best of three reps), compared against
+//! the committed `results/BENCH_local.json`. It fails (exit 1) when
+//! throughput drops more than 50%, or when a latency percentile climbs more
+//! than one log2 histogram bucket (the histogram is power-of-two bucketed,
+//! so "one bucket" is the finest detectable change) above the baseline.
+//!
+//! The two wall-clock gates never rewrite their baselines while comparing:
+//! only `--update-baseline` does, and a compare run writes its report only
+//! to an explicit `--json` path.
 //!
 //! Usage: `cargo run --release --bin regress -- [--quick] [-j N]
 //! [--fastpath] [--local] [--update-baseline] [--json <path>]`
@@ -67,6 +69,43 @@ const LOCAL_REPS: usize = 3;
 /// ~0.35x of the baseline back to back), and the sharp edge of this gate is
 /// the latency-bucket check, which only a real latency-class change trips.
 const LOCAL_TOLERANCE: f64 = 0.50;
+
+/// Committed baselines of the two wall-clock gates (relative to the
+/// repository root, where CI runs them).
+const FASTPATH_BASELINE: &str = "results/BENCH_fastpath.json";
+const LOCAL_BASELINE: &str = "results/BENCH_local.json";
+
+/// The baseline half of a wall-clock gate. Under `--update-baseline` the
+/// report replaces the committed `baseline` and `None` ends the gate;
+/// otherwise the committed copy is read and returned untouched, so a failed
+/// attempt cannot become the baseline its retry is judged against. Either
+/// way the report also goes to an explicit `--json` path.
+fn wall_gate_baseline(
+    baseline: &Path,
+    report: &serde_json::Value,
+    update: bool,
+    json_out: Option<PathBuf>,
+) -> Option<serde_json::Value> {
+    if let Some(out) = json_out {
+        write_json(&out, report);
+    }
+    if update {
+        write_json(baseline, report);
+        eprintln!("baseline updated: {}", baseline.display());
+        return None;
+    }
+    let base: serde_json::Value = std::fs::read_to_string(baseline)
+        .ok()
+        .and_then(|t| serde_json::from_str(&t).ok())
+        .unwrap_or_else(|| {
+            eprintln!(
+                "error: no committed baseline at {}; rerun with --update-baseline",
+                baseline.display()
+            );
+            std::process::exit(2)
+        });
+    Some(base)
+}
 
 /// Round-trip latency distribution of null (0-word) Simple RMIs, straight
 /// from the registry's `ccxx.rmi_rtt_ns` histogram.
@@ -192,10 +231,8 @@ fn print_summary(iters: usize, rmi: &Histogram, cells: &[Cell]) {
 
 /// Wall-clock gate over the zero-allocation short-message path.
 ///
-/// The committed `results/BENCH_fastpath.json` doubles as the baseline: the
-/// new report always overwrites it (so a green run refreshes the numbers a
-/// human sees), and the gate compares against the copy that was on disk when
-/// the run started.
+/// Compares against the committed `results/BENCH_fastpath.json`, which only
+/// `--update-baseline` rewrites (see [`wall_gate_baseline`]).
 fn run_fastpath(jobs: usize, update: bool, json_out: Option<PathBuf>) {
     eprintln!("regress: measuring the short-message fast path...");
     let mut best_wall = f64::INFINITY;
@@ -240,21 +277,9 @@ fn run_fastpath(jobs: usize, update: bool, json_out: Option<PathBuf>) {
         to_us(rtt.p50()),
     );
 
-    let out = json_out.unwrap_or_else(|| PathBuf::from("results/BENCH_fastpath.json"));
-    let prev: Option<serde_json::Value> = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|t| serde_json::from_str(&t).ok());
-    write_json(&out, &report);
-    if update {
-        eprintln!("fastpath baseline updated: {}", out.display());
+    let baseline = Path::new(FASTPATH_BASELINE);
+    let Some(base) = wall_gate_baseline(baseline, &report, update, json_out) else {
         return;
-    }
-    let Some(base) = prev else {
-        eprintln!(
-            "error: no committed fastpath baseline at {}; rerun with --update-baseline",
-            out.display()
-        );
-        std::process::exit(2);
     };
     let mut failed = false;
     let base_per_sec = base["null_rmi"]["rmi_per_sec"].as_f64().unwrap_or(0.0);
@@ -287,20 +312,20 @@ fn run_fastpath(jobs: usize, update: bool, json_out: Option<PathBuf>) {
     println!(
         "fastpath: throughput within {:.0}% of the baseline in {}",
         FASTPATH_TOLERANCE * 100.0,
-        out.display()
+        baseline.display()
     );
 }
 
 /// Wall-clock gate over the [`LocalFabric`] hot path (lock-free rings,
 /// adaptive wait, wall-clock coalescing daemon).
 ///
-/// Like `--fastpath`, the committed `results/BENCH_local.json` doubles as
-/// the baseline: the new report overwrites it and the gate compares against
-/// the copy that was on disk when the run started. Latencies come from the
-/// registry's log2-bucketed `ccxx.rmi_rtt_ns` histogram, so percentiles are
-/// bucket upper edges (`2^k - 1` ns); the gate allows exactly one bucket of
-/// upward drift (`new <= 2*old + 1`) — the finest regression the histogram
-/// can resolve — and any more is a real latency-class change, not noise.
+/// Like `--fastpath`, compares against a committed baseline,
+/// `results/BENCH_local.json`, that only `--update-baseline` rewrites.
+/// Latencies come from the registry's log2-bucketed `ccxx.rmi_rtt_ns`
+/// histogram, so percentiles are bucket upper edges (`2^k - 1` ns); the
+/// gate allows exactly one bucket of upward drift (`new <= 2*old + 1`) — the
+/// finest regression the histogram can resolve — and any more is a real
+/// latency-class change, not noise.
 fn run_local(update: bool, json_out: Option<PathBuf>) {
     eprintln!("regress: measuring the LocalFabric wall-clock hot path...");
     let mut best_wall = f64::INFINITY;
@@ -349,21 +374,9 @@ fn run_local(update: bool, json_out: Option<PathBuf>) {
         to_us(p99),
     );
 
-    let out = json_out.unwrap_or_else(|| PathBuf::from("results/BENCH_local.json"));
-    let prev: Option<serde_json::Value> = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|t| serde_json::from_str(&t).ok());
-    write_json(&out, &report);
-    if update {
-        eprintln!("local baseline updated: {}", out.display());
+    let baseline = Path::new(LOCAL_BASELINE);
+    let Some(base) = wall_gate_baseline(baseline, &report, update, json_out) else {
         return;
-    }
-    let Some(base) = prev else {
-        eprintln!(
-            "error: no committed local baseline at {}; rerun with --update-baseline",
-            out.display()
-        );
-        std::process::exit(2);
     };
     let mut failed = false;
     let base_per_sec = base["null_rmi"]["rmi_per_sec"].as_f64().unwrap_or(0.0);
@@ -395,7 +408,7 @@ fn run_local(update: bool, json_out: Option<PathBuf>) {
         "local: throughput within {:.0}% and latency within one bucket of the \
          baseline in {}",
         LOCAL_TOLERANCE * 100.0,
-        out.display()
+        baseline.display()
     );
 }
 

@@ -29,6 +29,7 @@ use mpmd_am::{self as am, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
 use mpmd_threads::SyncVar;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub(crate) const H_REQ: HandlerId = 64;
@@ -212,11 +213,9 @@ pub fn register_method_full<F: Fabric>(
 /// defers (no thread operations are charged — this is the Simple path).
 pub(crate) fn spin_wait<F: Fabric>(ctx: &F, pred: impl FnMut() -> bool) {
     let st = CcxxState::get(ctx);
-    st.spinners
-        .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+    st.spinners.fetch_add(1, Ordering::SeqCst);
     am::wait_until(ctx, pred);
-    st.spinners
-        .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+    leave_spinners(ctx, &st);
 }
 
 /// Run a blocking collective (e.g. a barrier) registered as a spinner —
@@ -224,7 +223,7 @@ pub(crate) fn spin_wait<F: Fabric>(ctx: &F, pred: impl FnMut() -> bool) {
 /// `spin_wait`, but through `am::wait_until` directly, so without this the
 /// polling thread sees `spinners == 0` and churns awake on every frame the
 /// barrier's own polls are about to service. Registering keeps the poller
-/// deferring (napping off the delivery parker) for the barrier's whole
+/// deferring (parked until the last spinner leaves) for the barrier's whole
 /// duration. Gated on `wall_clock` so the simulator's polling-thread
 /// wake-up accounting — part of the paper's measured cost — is unchanged.
 pub(crate) fn collective_wait<F: Fabric, R>(ctx: &F, f: impl FnOnce() -> R) -> R {
@@ -232,12 +231,24 @@ pub(crate) fn collective_wait<F: Fabric, R>(ctx: &F, f: impl FnOnce() -> R) -> R
         return f();
     }
     let st = CcxxState::get(ctx);
-    st.spinners
-        .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+    st.spinners.fetch_add(1, Ordering::SeqCst);
     let r = f();
-    st.spinners
-        .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+    leave_spinners(ctx, &st);
     r
+}
+
+/// Deregister a spinner; the last one out wakes a polling thread parked
+/// deferring to it (see `start_polling_thread`). SeqCst pairs with the
+/// poller's flag-then-count check: either the poller sees the count at 0
+/// and does not park, or this sees the flag and unparks it (an unpark
+/// before the park is not lost: wakeup tokens are consumable).
+fn leave_spinners<F: Fabric>(ctx: &F, st: &CcxxState<F>) {
+    if st.spinners.fetch_sub(1, Ordering::SeqCst) == 1 && st.poller_deferring.load(Ordering::SeqCst)
+    {
+        if let Some(t) = *st.poller.lock() {
+            ctx.unpark(t);
+        }
+    }
 }
 
 /// Invoke `method` on node `dst` and wait for its reply.

@@ -127,17 +127,19 @@ fn start_polling_thread<F: Fabric>(ctx: &F, interrupts: bool) {
             if st.poller_stop.load(Ordering::Acquire) {
                 return;
             }
-            if st.spinners.load(Ordering::Acquire) > 0 {
+            if st.spinners.load(Ordering::SeqCst) > 0 {
                 // Someone is actively polling; let them service the queue.
                 if cctx.wall_clock() {
-                    // On a wall-clock fabric, deferring by re-parking on the
-                    // delivery parker makes every sender pay a notify for a
-                    // thread that will do no work. Nap off the parker
-                    // instead: deadlock-avoidance degrades to at most one
-                    // nap of staleness if the last spinner leaves mid-nap
-                    // (we re-arm `park_for_inbox` on wake), and the RMI
-                    // fast path stops seeing poller wakeups entirely.
-                    cctx.sleep(mpmd_sim::us(500.0));
+                    // On a wall-clock fabric, re-parking on the inbox would
+                    // wake this thread for every frame the spinners are
+                    // about to service. Park until the last spinner leaves
+                    // instead (it unparks us, see `leave_spinners`), so a
+                    // reply right after the spin is served without delay.
+                    st.poller_deferring.store(true, Ordering::SeqCst);
+                    if st.spinners.load(Ordering::SeqCst) > 0 {
+                        cctx.park();
+                    }
+                    st.poller_deferring.store(false, Ordering::SeqCst);
                 } else {
                     cctx.yield_now();
                 }

@@ -88,6 +88,10 @@ pub(crate) struct CcxxState<F: Fabric> {
     pub(crate) spinners: AtomicUsize,
     pub(crate) poller: HostMutex<Option<TaskId>>,
     pub(crate) poller_stop: AtomicBool,
+    /// Set while the polling thread is parked deferring to spinners (wall-
+    /// clock fabrics only); the spinner that takes `spinners` to 0 then
+    /// unparks it.
+    pub(crate) poller_deferring: AtomicBool,
     /// Atomic-method accumulates staged until the next barrier, where they
     /// commit in canonical order (see [`StagedAdds`]). Host-side state:
     /// staging and committing are not modeled costs.
@@ -149,6 +153,7 @@ impl<F: Fabric> CcxxState<F> {
             spinners: AtomicUsize::new(0),
             poller: HostMutex::new(None),
             poller_stop: AtomicBool::new(false),
+            poller_deferring: AtomicBool::new(false),
             staged: HostMutex::new(StagedAdds::default()),
         }
     }

@@ -85,7 +85,9 @@ pub trait Fabric: Clone + Send + 'static {
     /// the per-bucket ledger (time advances by itself).
     fn charge(&self, bucket: Bucket, ns: Time);
 
-    /// Mutate this node's instrumentation counters.
+    /// Mutate this node's instrumentation counters. A backend may keep the
+    /// counters it owns (charges, frame counts) elsewhere; [`LocalFabric`]
+    /// does, and they read as zero here. [`Fabric::snapshot`] reports all.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R;
 
     /// Capture all node clocks/stats (quiesce with a barrier first).

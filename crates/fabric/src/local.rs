@@ -22,7 +22,11 @@
 //!   is available as [`WaitPolicy::park_only`] for comparison.
 //! * **Wakeup hub without a sender-side mutex.** Frame delivery bumps an
 //!   atomic per-node generation; the hub mutex + condvar are touched only
-//!   when a waiter is actually parked.
+//!   when a waiter is actually parked. `park` sleeps on the task thread's
+//!   own parker, so deliveries never wake tasks waiting for an `unpark`.
+//! * **One cache-padded shard per node** ([`NodeShard`]): no two nodes
+//!   share a cache line, the fabric's own counters are relaxed atomics,
+//!   and `node_data` hits come from a per-thread cache without a lock.
 //!
 //! Semantics relative to the simulated fabric:
 //!
@@ -45,17 +49,18 @@
 use crate::Fabric;
 use mpmd_sim::{
     size_bucket, Bucket, CostModel, MetricsRegistry, Msg, NodeMetrics, Payload, Report, Snapshot,
-    SpanId, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter,
+    SpanId, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, NUM_BUCKETS,
 };
 use std::any::{Any, TypeId};
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Pad to a cache line so the producer cursor, consumer cursor and overflow
-/// length never false-share (128 covers adjacent-line prefetching on x86).
+/// length (and a node's parker) never false-share (128 covers adjacent-line
+/// prefetching on x86).
 #[repr(align(128))]
 struct Pad<T>(T);
 
@@ -298,6 +303,10 @@ struct TaskRec {
     /// Consumable wakeup token: set by `unpark`, consumed by `park`.
     unparked: AtomicBool,
     finished: AtomicBool,
+    /// The task's OS thread, set when it starts. `park` sleeps on the
+    /// thread's own parker, so only an `unpark` aimed at this task (or
+    /// shutdown) wakes it — not every frame delivered to its node.
+    thread: OnceLock<std::thread::Thread>,
 }
 
 /// Configuration for a wall-clock run beyond the machine shape: how blocked
@@ -327,7 +336,84 @@ impl Default for LocalConfig {
     }
 }
 
+/// Counters the fabric keeps itself, as relaxed atomics: only this node's
+/// tasks write them, so an increment is one uncontended atomic add instead
+/// of a mutex round trip. Folded into [`Stats`] by `snapshot` and the
+/// report.
+#[derive(Default)]
+struct FabricCounters {
+    bucket_ns: [AtomicU64; NUM_BUCKETS],
+    msgs_sent: AtomicU64,
+    msgs_received: AtomicU64,
+    bytes_sent: AtomicU64,
+    msg_size_hist: [AtomicU64; 8],
+}
+
+impl FabricCounters {
+    fn fold_into(&self, s: &mut Stats) {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        for (acc, c) in s.bucket_ns.iter_mut().zip(&self.bucket_ns) {
+            *acc += get(c);
+        }
+        s.msgs_sent += get(&self.msgs_sent);
+        s.msgs_received += get(&self.msgs_received);
+        s.bytes_sent += get(&self.bytes_sent);
+        for (acc, c) in s.msg_size_hist.iter_mut().zip(&self.msg_size_hist) {
+            *acc += get(c);
+        }
+    }
+}
+
+/// Everything one node owns (DESIGN.md §4a, "Per-node shard"). The
+/// 128-byte alignment keeps two nodes' shards off each other's cache lines
+/// (and off the adjacent-line prefetch pair); inside the shard the parker
+/// gets lines of its own because its generation is the one field other
+/// nodes write.
+#[repr(align(128))]
+struct NodeShard {
+    parker: Pad<NodeParker>,
+    counters: FabricCounters,
+    /// The upper layers' counters (`with_stats`); the fabric's own live in
+    /// `counters`.
+    stats: Mutex<Stats>,
+    /// Typed singletons behind `node_data`; hits are served from the
+    /// per-thread [`NODE_DATA`] cache, so this lock is taken once per
+    /// (task, type).
+    data: Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>,
+    /// Metrics shard; `None` when the registry is off.
+    metrics: Option<Mutex<NodeMetrics>>,
+    /// Round-robin start index for the link scan, so one chatty neighbor
+    /// cannot starve the others.
+    rotate: AtomicUsize,
+}
+
+const _: () = assert!(std::mem::align_of::<NodeShard>() == 128);
+
+impl NodeShard {
+    fn new(metrics: bool) -> Self {
+        NodeShard {
+            parker: Pad(NodeParker::new()),
+            counters: FabricCounters::default(),
+            stats: Mutex::new(Stats::default()),
+            data: Mutex::new(HashMap::new()),
+            metrics: metrics.then(|| Mutex::new(NodeMetrics::default())),
+            rotate: AtomicUsize::new(0),
+        }
+    }
+
+    fn stats(&self) -> Stats {
+        let mut s = self.stats.lock().unwrap().clone();
+        self.counters.fold_into(&mut s);
+        s
+    }
+}
+
+/// Source of [`LfInner::run`] ids.
+static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
+
 struct LfInner {
+    /// Process-unique id of this run; keys the [`NODE_DATA`] cache.
+    run: u64,
     nodes: usize,
     cost: CostModel,
     config: LocalConfig,
@@ -335,17 +421,8 @@ struct LfInner {
     cpus: usize,
     epoch: Instant,
     rings: Vec<Ring>, // src * nodes + dst
-    parkers: Vec<NodeParker>,
-    stats: Vec<Mutex<Stats>>,
-    /// Per-node typed singletons (split from stats so `node_data` lookups
-    /// never contend with counter updates).
-    node_data: Vec<Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>>,
-    /// Per-node metrics shards: recording locks only the node's own shard,
-    /// so histogram updates never cross-contend between nodes.
-    metrics: Option<Vec<Mutex<NodeMetrics>>>,
-    /// Round-robin start index for each node's link scan, so one chatty
-    /// neighbor cannot starve the others.
-    rotate: Vec<AtomicUsize>,
+    shards: Vec<NodeShard>,
+    metrics: bool,
     tasks: Mutex<HashMap<u32, Arc<TaskRec>>>,
     next_task: AtomicU32,
     /// Live non-daemon tasks; shutdown begins when this reaches zero.
@@ -354,13 +431,21 @@ struct LfInner {
     /// Join/exit signaling (global: task exits are rare events).
     fin: Mutex<()>,
     fin_cv: Condvar,
-    /// Threads spawned mid-run, joined by `run` after shutdown.
+    /// Threads spawned mid-run and not yet joined. Finished ones are reaped
+    /// on the next spawn (their stacks stay mapped until joined); `run`
+    /// joins the rest after shutdown.
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The first panic payload of a reaped task, re-raised by `run`.
+    panicked: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl LfInner {
     fn ring(&self, src: usize, dst: usize) -> &Ring {
         &self.rings[src * self.nodes + dst]
+    }
+
+    fn parker(&self, node: usize) -> &NodeParker {
+        &self.shards[node].parker.0
     }
 
     fn inbox_len(&self, node: usize) -> usize {
@@ -379,16 +464,36 @@ impl LfInner {
 
     fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        for p in &self.parkers {
-            p.bump();
+        for s in &self.shards {
+            s.parker.0.bump();
+        }
+        for rec in self.tasks.lock().unwrap().values() {
+            if let Some(t) = rec.thread.get() {
+                t.unpark();
+            }
         }
         self.fin_cv.notify_all();
     }
 
+    fn stats(&self) -> Vec<Stats> {
+        self.shards.iter().map(NodeShard::stats).collect()
+    }
+
     fn registry(&self) -> Option<MetricsRegistry> {
-        self.metrics.as_ref().map(|shards| MetricsRegistry {
-            nodes: shards.iter().map(|m| m.lock().unwrap().clone()).collect(),
+        self.metrics.then(|| MetricsRegistry {
+            nodes: self
+                .shards
+                .iter()
+                .map(|s| s.metrics.as_ref().unwrap().lock().unwrap().clone())
+                .collect(),
         })
+    }
+
+    /// Join a spawned task's thread, keeping the first panic for `run`.
+    fn join_handle(&self, h: std::thread::JoinHandle<()>) {
+        if let Err(e) = h.join() {
+            self.panicked.lock().unwrap().get_or_insert(e);
+        }
     }
 }
 
@@ -424,6 +529,20 @@ thread_local! {
     /// thread, so thread-local storage is exactly per-task storage; const
     /// init keeps the first park allocation-free.
     static WAITER: RefCell<Option<Waiter>> = const { RefCell::new(None) };
+
+    /// This thread's `node_data` hits. Keyed by run as well as node and type:
+    /// a `LocalFabric` handle can outlive its run on a foreign thread, and a
+    /// later run on that thread must never see the earlier run's state.
+    /// Entries of other runs are dropped on the next miss.
+    static NODE_DATA: RefCell<Vec<CachedData>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One [`NODE_DATA`] entry.
+struct CachedData {
+    run: u64,
+    node: usize,
+    ty: TypeId,
+    data: Arc<dyn Any + Send + Sync>,
 }
 
 /// Configuration for a wall-clock run.
@@ -502,18 +621,14 @@ impl LocalFabricBuilder {
         let n = self.nodes;
         let cap = self.config.ring_capacity;
         let inner = Arc::new(LfInner {
+            run: NEXT_RUN.fetch_add(1, Ordering::Relaxed),
             nodes: n,
             cost: self.cost,
             cpus: std::thread::available_parallelism().map_or(1, |p| p.get()),
             epoch: Instant::now(),
             rings: (0..n * n).map(|_| Ring::new(cap)).collect(),
-            parkers: (0..n).map(|_| NodeParker::new()).collect(),
-            stats: (0..n).map(|_| Mutex::new(Stats::default())).collect(),
-            node_data: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            metrics: self
-                .metrics
-                .then(|| (0..n).map(|_| Mutex::new(NodeMetrics::default())).collect()),
-            rotate: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            shards: (0..n).map(|_| NodeShard::new(self.metrics)).collect(),
+            metrics: self.metrics,
             tasks: Mutex::new(HashMap::new()),
             next_task: AtomicU32::new(0),
             live: AtomicUsize::new(0),
@@ -521,6 +636,7 @@ impl LocalFabricBuilder {
             fin: Mutex::new(()),
             fin_cv: Condvar::new(),
             handles: Mutex::new(Vec::new()),
+            panicked: Mutex::new(None),
             config: self.config,
         });
         let body = Arc::new(body);
@@ -544,16 +660,15 @@ impl LocalFabricBuilder {
         inner.begin_shutdown();
         let spawned = std::mem::take(&mut *inner.handles.lock().unwrap());
         for h in spawned {
-            h.join().expect("spawned task panicked");
+            inner.join_handle(h);
+        }
+        if let Some(e) = inner.panicked.lock().unwrap().take() {
+            panic!("spawned task panicked: {e:?}");
         }
         let elapsed = inner.epoch.elapsed().as_nanos() as u64;
         Report {
             clocks: vec![elapsed; n],
-            stats: inner
-                .stats
-                .iter()
-                .map(|s| s.lock().unwrap().clone())
-                .collect(),
+            stats: inner.stats(),
             trace: None,
             metrics: inner.registry(),
         }
@@ -575,6 +690,7 @@ where
         node,
         unparked: AtomicBool::new(false),
         finished: AtomicBool::new(false),
+        thread: OnceLock::new(),
     });
     inner.tasks.lock().unwrap().insert(id.0, Arc::clone(&rec));
     if !daemon {
@@ -593,6 +709,7 @@ where
             if let Some(core) = pin {
                 pin_to_core(core);
             }
+            let _ = rec.thread.set(std::thread::current());
             let inner = Arc::clone(&fab.inner);
             f(fab);
             rec.finished.store(true, Ordering::SeqCst);
@@ -606,7 +723,7 @@ where
             inner.fin_cv.notify_all();
             // A finished task might be sitting in someone's unpark path;
             // bump its node so any waiter re-checks.
-            inner.parkers[node].bump();
+            inner.parker(node).bump();
         })
         .expect("OS thread spawn failed");
     (id, handle)
@@ -648,8 +765,23 @@ impl LocalFabric {
         G: FnOnce(LocalFabric) + Send + 'static,
     {
         let (id, h) = spawn_task(&self.inner, node, name, daemon, f);
-        self.inner.handles.lock().unwrap().push(h);
+        let mut handles = self.inner.handles.lock().unwrap();
+        // Reap threads whose task has returned, so a run that spawns a
+        // thread per call (threaded RMIs) keeps a bounded number of stacks.
+        let mut i = 0;
+        while i < handles.len() {
+            if handles[i].is_finished() {
+                self.inner.join_handle(handles.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        handles.push(h);
         id
+    }
+
+    fn shard(&self) -> &NodeShard {
+        &self.inner.shards[self.node]
     }
 
     /// Run `f` with this thread's wait-escalation state.
@@ -672,7 +804,7 @@ impl LocalFabric {
     /// waits keep backing off while any productive wake resets the ladder.
     fn inbox_wait(&self, deadline: Option<Time>) {
         let inner = &*self.inner;
-        let parker = &inner.parkers[self.node];
+        let parker = inner.parker(self.node);
         let seen = parker.gen.load(Ordering::SeqCst);
         let productive = |seen: u64| {
             inner.inbox_len(self.node) > 0
@@ -766,24 +898,21 @@ impl Fabric for LocalFabric {
         if ns == 0 {
             return;
         }
-        let mut s = self.inner.stats[self.node].lock().unwrap();
-        s.bucket_ns[bucket.index()] += ns;
+        self.shard().counters.bucket_ns[bucket.index()].fetch_add(ns, Ordering::Relaxed);
     }
 
+    /// The fabric's own counters (`bucket_ns`, `msgs_sent`,
+    /// `msgs_received`, `bytes_sent`, `msg_size_hist`) are kept outside this
+    /// `Stats` and read as zero here; `snapshot` and the report carry them.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
-        f(&mut self.inner.stats[self.node].lock().unwrap())
+        f(&mut self.shard().stats.lock().unwrap())
     }
 
     fn snapshot(&self) -> Snapshot {
         let now = self.now();
         Snapshot {
             clocks: vec![now; self.inner.nodes],
-            stats: self
-                .inner
-                .stats
-                .iter()
-                .map(|s| s.lock().unwrap().clone())
-                .collect(),
+            stats: self.inner.stats(),
             metrics: self.inner.registry(),
         }
     }
@@ -815,7 +944,6 @@ impl Fabric for LocalFabric {
 
     fn park(&self) {
         let inner = &*self.inner;
-        let parker = &inner.parkers[self.node];
         self.with_waiter(|w| loop {
             if self.rec.unparked.swap(false, Ordering::SeqCst) {
                 w.reset();
@@ -829,14 +957,9 @@ impl Fabric for LocalFabric {
             match w.next_phase() {
                 WaitPhase::Spin => std::hint::spin_loop(),
                 WaitPhase::Yield => std::thread::yield_now(),
-                WaitPhase::Park(ns) => {
-                    let seen = parker.gen.load(Ordering::SeqCst);
-                    if self.rec.unparked.swap(false, Ordering::SeqCst) {
-                        w.reset();
-                        return;
-                    }
-                    parker.park_timeout(seen, Duration::from_nanos(ns));
-                }
+                // An `unpark` after the token check above still ends this
+                // sleep at once: it also unparks the thread.
+                WaitPhase::Park(ns) => std::thread::park_timeout(Duration::from_nanos(ns)),
             }
         })
     }
@@ -848,8 +971,11 @@ impl Fabric for LocalFabric {
             self.inner.task(t)
         };
         rec.unparked.store(true, Ordering::SeqCst);
-        // Serialize against a concurrent park's check-then-wait.
-        self.inner.parkers[rec.node].bump();
+        if let Some(thread) = rec.thread.get() {
+            thread.unpark();
+        }
+        // An inbox wait also ends on the token: wake it through the node.
+        self.inner.parker(rec.node).bump();
     }
 
     fn park_for_inbox(&self) {
@@ -890,30 +1016,29 @@ impl Fabric for LocalFabric {
 
     fn send_msg(&self, dst: usize, wire_bytes: usize, _delay: Time, payload: Payload) {
         assert!(dst < self.inner.nodes, "send to nonexistent node {dst}");
-        {
-            // Only the sender's own shard: the receive count is recorded at
-            // try_recv on the receiver's shard, so the send fast path never
-            // contends on another node's stats lock.
-            let mut s = self.inner.stats[self.node].lock().unwrap();
-            s.msgs_sent += 1;
-            s.bytes_sent += wire_bytes as u64;
-            s.msg_size_hist[size_bucket(wire_bytes)] += 1;
-        }
+        // Only the sender's own shard: the receive count is recorded at
+        // try_recv on the receiver's shard, so the send fast path never
+        // writes another node's counters.
+        let c = &self.shard().counters;
+        c.msgs_sent.fetch_add(1, Ordering::Relaxed);
+        c.bytes_sent.fetch_add(wire_bytes as u64, Ordering::Relaxed);
+        c.msg_size_hist[size_bucket(wire_bytes)].fetch_add(1, Ordering::Relaxed);
         self.inner.ring(self.node, dst).push(Msg {
             src: self.node,
             wire_bytes,
             payload,
         });
-        self.inner.parkers[dst].bump();
+        self.inner.parker(dst).bump();
     }
 
     fn try_recv(&self) -> Option<Msg> {
         let n = self.inner.nodes;
-        let start = self.inner.rotate[self.node].fetch_add(1, Ordering::Relaxed);
+        let shard = self.shard();
+        let start = shard.rotate.fetch_add(1, Ordering::Relaxed);
         for i in 0..n {
             let src = (start + i) % n;
             if let Some(m) = self.inner.ring(src, self.node).pop() {
-                self.inner.stats[self.node].lock().unwrap().msgs_received += 1;
+                shard.counters.msgs_received.fetch_add(1, Ordering::Relaxed);
                 return Some(m);
             }
         }
@@ -937,58 +1062,70 @@ impl Fabric for LocalFabric {
         T: Send + Sync + 'static,
         G: FnOnce() -> T,
     {
-        let mut d = self.inner.node_data[node].lock().unwrap();
-        let slot = d
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Arc::new(init()) as Arc<dyn Any + Send + Sync>);
-        Arc::downcast::<T>(Arc::clone(slot)).expect("node_data type confusion")
+        let (run, ty) = (self.inner.run, TypeId::of::<T>());
+        let hit = NODE_DATA.with(|c| {
+            c.borrow()
+                .iter()
+                .find(|e| e.ty == ty && e.node == node && e.run == run)
+                .map(|e| Arc::clone(&e.data))
+        });
+        let data = hit.unwrap_or_else(|| {
+            let data = Arc::clone(
+                self.inner.shards[node]
+                    .data
+                    .lock()
+                    .unwrap()
+                    .entry(ty)
+                    .or_insert_with(|| Arc::new(init()) as Arc<dyn Any + Send + Sync>),
+            );
+            NODE_DATA.with(|c| {
+                let mut c = c.borrow_mut();
+                c.retain(|e| e.run == run);
+                c.push(CachedData {
+                    run,
+                    node,
+                    ty,
+                    data: Arc::clone(&data),
+                });
+            });
+            data
+        });
+        Arc::downcast::<T>(data).expect("node_data type confusion")
     }
 
     fn metrics_enabled(&self) -> bool {
-        self.inner.metrics.is_some()
+        self.inner.metrics
     }
 
     fn metric_observe(&self, name: &'static str, v: u64) {
-        if let Some(m) = &self.inner.metrics {
-            m[self.node]
-                .lock()
-                .unwrap()
-                .hists
-                .entry(name)
-                .or_default()
-                .record(v);
+        if let Some(m) = &self.shard().metrics {
+            m.lock().unwrap().hists.entry(name).or_default().record(v);
         }
     }
 
     fn metric_observe_since(&self, name: &'static str, t0: Time) {
-        if let Some(_m) = &self.inner.metrics {
+        if self.inner.metrics {
             let now = self.now();
             self.metric_observe(name, now.saturating_sub(t0));
         }
     }
 
     fn metric_inbox_depth(&self, name: &'static str) {
-        if self.inner.metrics.is_some() {
+        if self.inner.metrics {
             let depth = self.inner.inbox_len(self.node) as u64;
             self.metric_observe(name, depth);
         }
     }
 
     fn metric_counter_add(&self, name: &'static str, delta: u64) {
-        if let Some(m) = &self.inner.metrics {
-            *m[self.node]
-                .lock()
-                .unwrap()
-                .counters
-                .entry(name)
-                .or_insert(0) += delta;
+        if let Some(m) = &self.shard().metrics {
+            *m.lock().unwrap().counters.entry(name).or_insert(0) += delta;
         }
     }
 
     fn metric_keyed_add(&self, name: &'static str, key: u64, delta: u64) {
-        if let Some(m) = &self.inner.metrics {
-            *m[self.node]
-                .lock()
+        if let Some(m) = &self.shard().metrics {
+            *m.lock()
                 .unwrap()
                 .keyed
                 .entry(name)
@@ -999,8 +1136,8 @@ impl Fabric for LocalFabric {
     }
 
     fn metric_gauge_set(&self, name: &'static str, v: u64) {
-        if let Some(m) = &self.inner.metrics {
-            m[self.node].lock().unwrap().gauges.insert(name, v);
+        if let Some(m) = &self.shard().metrics {
+            m.lock().unwrap().gauges.insert(name, v);
         }
     }
 
@@ -1147,6 +1284,87 @@ mod tests {
                 }
             });
         assert_eq!(r.stats[1].msgs_received, 1);
+    }
+
+    #[test]
+    fn report_stats_equal_the_per_node_sums() {
+        const K: u64 = 300;
+        let snap = Arc::new(Mutex::new(None));
+        let s2 = Arc::clone(&snap);
+        let r = LocalFabric::run(2, move |fab| {
+            let peer = 1 - fab.node();
+            for i in 0..K {
+                // Sizes across three wire-size buckets.
+                fab.send_msg(peer, [8, 200, 3000][i as usize % 3], 1, Payload::any(i));
+                fab.charge(Bucket::Net, 10);
+            }
+            fab.charge(Bucket::Cpu, 7);
+            fab.with_stats(|s| s.polls += 1);
+            let mut got = 0;
+            while got < K {
+                match fab.try_recv() {
+                    Some(_) => got += 1,
+                    None => fab.park_for_inbox(),
+                }
+            }
+            if fab.node() == 0 {
+                // Node 1 may still be receiving: only node 0's own
+                // counters are settled here.
+                *s2.lock().unwrap() = Some(fab.snapshot().stats[0].clone());
+            }
+        });
+        for (me, s) in r.stats.iter().enumerate() {
+            let peer = &r.stats[1 - me];
+            assert_eq!(s.msgs_sent, K);
+            assert_eq!(s.msgs_sent, peer.msgs_received);
+            assert_eq!(s.bytes_sent, K / 3 * (8 + 200 + 3000));
+            assert_eq!(s.msg_size_hist.iter().sum::<u64>(), s.msgs_sent);
+            for bytes in [8, 200, 3000] {
+                assert_eq!(s.msg_size_hist[size_bucket(bytes)], K / 3);
+            }
+            assert_eq!(s.bucket_ns[Bucket::Net.index()], 10 * K);
+            assert_eq!(s.bucket_ns[Bucket::Cpu.index()], 7);
+            assert_eq!(s.polls, 1);
+        }
+        assert_eq!(snap.lock().unwrap().take(), Some(r.stats[0].clone()));
+    }
+
+    #[test]
+    fn finished_task_threads_are_reaped() {
+        let peak = Arc::new(AtomicUsize::new(0));
+        let p2 = Arc::clone(&peak);
+        LocalFabric::run(1, move |fab| {
+            for _ in 0..20_000 {
+                let t = fab.spawn("short", |_| {});
+                fab.join(t);
+                let held = fab.inner.handles.lock().unwrap().len();
+                p2.fetch_max(held, Ordering::Relaxed);
+            }
+        });
+        // `join` returns once the task body is done, a moment before its
+        // thread exits, so a few handles may still be pending at any time.
+        let peak = peak.load(Ordering::Relaxed);
+        assert!(peak <= 64, "{peak} task threads held unjoined");
+    }
+
+    #[test]
+    fn node_data_cache_is_keyed_by_run() {
+        // Handles that outlive their runs, used from this one thread: each
+        // run's singleton must come from that run.
+        let export = || {
+            let out = Arc::new(Mutex::new(None));
+            let o2 = Arc::clone(&out);
+            LocalFabric::run(1, move |fab| *o2.lock().unwrap() = Some(fab));
+            let fab = out.lock().unwrap().take().unwrap();
+            fab
+        };
+        let (a, b) = (export(), export());
+        let da = a.node_data(|| AtomicU64::new(1));
+        let db = b.node_data(|| AtomicU64::new(2));
+        assert!(!Arc::ptr_eq(&da, &db));
+        assert_eq!(db.load(Ordering::Relaxed), 2);
+        assert!(Arc::ptr_eq(&da, &a.node_data(|| AtomicU64::new(3))));
+        assert!(Arc::ptr_eq(&db, &b.node_data(|| AtomicU64::new(4))));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! `LocalFabric` runs every task as its own OS thread, so node 0's count is
 //! exactly the path being proven: ring push (lock-free slot claim, message
 //! moved by value into the slot), parker bump (two atomics), adaptive wait
-//! (TLS `Waiter`, futex park), ring pop.
+//! (TLS `Waiter`, futex park), ring pop — plus the per-thread `node_data`
+//! cache every AM send and poll reads its endpoint state through.
 //!
 //! After warm-up (TLS waiter init, stats maps, thread start-up debris), a
 //! steady-state run of `Payload::Short` ping-pongs on node 0's thread must
@@ -73,10 +74,21 @@ fn short() -> Payload {
     }
 }
 
+/// Stand-in for the AM layer's per-node endpoint state.
+struct NodeState(AtomicU64);
+
+/// A `node_data` read, as each AM send and poll does.
+fn touch_node_data(fab: &LocalFabric) {
+    fab.node_data(|| NodeState(AtomicU64::new(0)))
+        .0
+        .fetch_add(1, Relaxed);
+}
+
 /// One short-message round trip: node 0 sends, node 1 receives and replies.
 fn round_trips(fab: &LocalFabric, n: usize) {
     if fab.node() == 0 {
         for _ in 0..n {
+            touch_node_data(fab);
             fab.send_msg(1, 8, 0, short());
             loop {
                 if let Some(m) = fab.try_recv() {
@@ -94,6 +106,7 @@ fn round_trips(fab: &LocalFabric, n: usize) {
                 }
                 fab.park_for_inbox();
             }
+            touch_node_data(fab);
             fab.send_msg(0, 8, 0, short());
         }
     }
@@ -103,8 +116,8 @@ fn round_trips(fab: &LocalFabric, n: usize) {
 fn wall_clock_short_round_trip_allocates_nothing() {
     static MEASURED_DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
     let r = LocalFabric::run(2, |fab| {
-        // Warm-up: the TLS waiter, stats/metrics map nodes, and whatever
-        // the OS thread's first futex waits touch.
+        // Warm-up: the TLS waiter and node_data cache, stats/metrics map
+        // nodes, and whatever the OS thread's first futex waits touch.
         round_trips(&fab, WARMUP);
         if fab.node() == 0 {
             let before = thread_allocs();
