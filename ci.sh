@@ -15,14 +15,27 @@ retry_once() {
     "$@"
 }
 
+# Every test step runs under a time limit (build time included), so a
+# hung test fails the gate, naming the step, instead of stalling it.
+TEST_TIMEOUT=1800
+timed() {
+    local what="$1"; shift
+    local rc=0
+    timeout --kill-after=30 "$TEST_TIMEOUT" "$@" || rc=$?
+    if [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
+        echo "TIMEOUT: step '$what' ran longer than ${TEST_TIMEOUT}s (a hung test?)" >&2
+    fi
+    return "$rc"
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
-cargo test -q
+timed "cargo test -q" cargo test -q
 
 echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+timed "cargo test --workspace -q" cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -196,8 +209,10 @@ echo "==> fabric ring stress + wall-clock zero-alloc + node_data tests"
 # node_data conformance battery on both fabrics (one singleton per node and
 # run, shared by spawned tasks), in release mode where the fast paths are
 # actually taken.
-cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count
-cargo test --release -q -p mpmd-am --test fabric_conformance node_data
+timed "fabric ring_stress + alloc_count" \
+    cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count
+timed "am fabric_conformance node_data" \
+    cargo test --release -q -p mpmd-am --test fabric_conformance node_data
 echo "fabric stress + alloc + node_data tests OK"
 
 echo "==> zero-allocation fast-path proof"
@@ -266,7 +281,7 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # (their assertions compare against threads baselines, so passing proves
 # identical output). A separate target dir keeps the main cache warm.
 CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" \
-    cargo test -q -p mpmd-sim --test explore
+    timed "threads-fallback explore tests" cargo test -q -p mpmd-sim --test explore
 echo "threads fallback OK"
 
 echo "==> all checks passed"

@@ -49,7 +49,7 @@ use crate::ops::SHORT_WIRE_BYTES;
 use crate::profile::NetProfile;
 use crate::state::{lookup, AmState};
 use crate::{AmMsg, HandlerId};
-use mpmd_fabric::Fabric;
+use mpmd_fabric::{Fabric, StatCounter};
 use mpmd_sim::{us, Bucket, Time};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -250,7 +250,7 @@ pub(crate) fn append<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, msg: AmMsg
     if flush_now {
         flush_dst(ctx, st, dst, p);
         if p.poll_on_send {
-            crate::ops::poll(ctx);
+            crate::ops::poll_with(ctx, st);
         }
     } else if first && ctx.wall_clock() {
         // A new deadline may now be the earliest: re-park the linger daemon
@@ -395,9 +395,8 @@ pub(crate) fn dispatch_batch<F: Fabric>(
         let hid = sub.handler;
         ctx.handler_start(hid);
         ctx.charge(Bucket::Net, unmarshal);
-        ctx.with_stats(|s| s.handlers_run += 1);
-        let h = lookup(st, hid);
-        h(ctx, sub);
+        ctx.count(StatCounter::HandlersRun, 1);
+        lookup(st, hid)(ctx, sub);
         ctx.handler_end(hid);
         ran += 1;
     }

@@ -36,7 +36,7 @@ pub use endpoint::{endpoint, Endpoint, SendBuilder};
 pub use ops::{flush, poll, wait_until, Token, SHORT_WIRE_BYTES};
 pub use profile::NetProfile;
 pub use reply::{PendingCounter, ReplyCell};
-pub use state::{init, is_registered, profile, register, Handler, HandlerId};
+pub use state::{init, is_registered, profile, register, Handler, HandlerId, MAX_HANDLERS};
 
 use bytes::Bytes;
 use mpmd_sim::Payload;
@@ -338,6 +338,29 @@ mod tests {
             setup(&ctx, NetProfile::sp_am_splitc());
             register(&ctx, H_ECHO, |_, _| {});
             register(&ctx, H_ECHO, |_, _| {});
+        });
+    }
+
+    #[test]
+    fn handler_table_takes_every_id_below_its_limit() {
+        Sim::new(1).run(|ctx| {
+            setup(&ctx, NetProfile::sp_am_splitc());
+            let last = MAX_HANDLERS as HandlerId - 1;
+            assert_eq!(last, 255);
+            assert!(!is_registered(&ctx, last));
+            register(&ctx, last, |_, _| {});
+            assert!(is_registered(&ctx, last));
+            assert!(!is_registered(&ctx, last - 1));
+            assert!(!is_registered(&ctx, last + 1));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "AM handler id 256 is out of range: ids must be below 256")]
+    fn handler_id_past_the_table_panics() {
+        Sim::new(1).run(|ctx| {
+            setup(&ctx, NetProfile::sp_am_splitc());
+            register(&ctx, MAX_HANDLERS as HandlerId, |_, _| {});
         });
     }
 

@@ -7,7 +7,7 @@
 use crate::state::{lookup, AmState, HandlerId, PollGuard};
 use crate::AmMsg;
 use bytes::Bytes;
-use mpmd_fabric::Fabric;
+use mpmd_fabric::{Fabric, StatCounter};
 use mpmd_sim::Bucket;
 use std::any::Any;
 
@@ -30,13 +30,14 @@ pub(crate) fn send_inner<F: Fabric>(
     let p = st.profile();
     let bulk = data.is_some();
     let bytes = data.as_ref().map_or(0, |d| d.len());
-    ctx.with_stats(|s| {
+    ctx.count(
         if bulk {
-            s.bulk_msgs += 1;
+            StatCounter::BulkMsgs
         } else {
-            s.short_msgs += 1;
-        }
-    });
+            StatCounter::ShortMsgs
+        },
+        1,
+    );
     let msg = AmMsg {
         src: ctx.node(),
         handler,
@@ -59,7 +60,7 @@ pub(crate) fn send_inner<F: Fabric>(
         ctx.charge(Bucket::Net, p.send_charge(bulk));
         crate::coalesce::raw_send(ctx, &st, dst, msg, bytes, p);
         if p.poll_on_send {
-            poll(ctx);
+            poll_with(ctx, &st);
         }
         return;
     }
@@ -77,7 +78,7 @@ pub(crate) fn send_inner<F: Fabric>(
         );
     }
     if p.poll_on_send {
-        poll(ctx);
+        poll_with(ctx, &st);
     }
 }
 
@@ -100,9 +101,8 @@ pub(crate) fn dispatch<F: Fabric>(
     // handler body) — the trace reconciles against Bucket::Net this way.
     ctx.handler_start(hid);
     ctx.charge(Bucket::Net, p.recv_charge());
-    ctx.with_stats(|s| s.handlers_run += 1);
-    let h = lookup(st, hid);
-    h(ctx, am);
+    ctx.count(StatCounter::HandlersRun, 1);
+    lookup(st, hid)(ctx, am);
     ctx.handler_end(hid);
     1
 }
@@ -114,33 +114,38 @@ pub(crate) fn dispatch<F: Fabric>(
 /// task sent can be held back while it waits) and again on exit (handlers
 /// run during the drain may have issued coalescible replies).
 pub fn poll<F: Fabric>(ctx: &F) -> usize {
-    let st = AmState::get(ctx);
-    let Some(_guard) = PollGuard::enter(&st, ctx.task_id()) else {
+    poll_with(ctx, &AmState::get(ctx))
+}
+
+/// [`poll`] with this node's endpoint state already in hand (the
+/// poll-on-send paths hold it).
+pub(crate) fn poll_with<F: Fabric>(ctx: &F, st: &AmState<F>) -> usize {
+    let Some(_guard) = PollGuard::enter(&st.in_poll, ctx.task_id()) else {
         return 0;
     };
     // `enabled` is one atomic load: a non-coalescing node (the common case)
     // skips both mandatory flush points without touching their locks.
-    let coalescing = crate::coalesce::enabled(&st);
+    let coalescing = crate::coalesce::enabled(st);
     if coalescing {
-        crate::coalesce::flush_all(ctx, &st, st.profile());
+        crate::coalesce::flush_all(ctx, st, st.profile());
     }
     // Yield so every network event due at or before our clock is visible.
     ctx.poll_point();
-    ctx.with_stats(|s| s.polls += 1);
+    ctx.count(StatCounter::Polls, 1);
     // Queue-depth distribution at poll entry: how far reception lags.
     ctx.metric_inbox_depth("am.inbox_depth");
     let ran = if ctx.faults_enabled() {
-        crate::reliable::poll_reliable(ctx, &st, st.profile())
+        crate::reliable::poll_reliable(ctx, st, st.profile())
     } else {
         let mut ran = 0;
         while let Some(m) = ctx.try_recv() {
             let am = AmMsg::from_payload(m.src, m.payload);
-            ran += dispatch(ctx, &st, st.profile(), am);
+            ran += dispatch(ctx, st, st.profile(), am);
         }
         ran
     };
     if coalescing {
-        crate::coalesce::flush_all(ctx, &st, st.profile());
+        crate::coalesce::flush_all(ctx, st, st.profile());
     }
     ran
 }

@@ -11,7 +11,9 @@
 use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric};
 use mpmd_sim::Sim;
+use mpmd_sim::TaskId;
 use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -328,6 +330,99 @@ fn battery_node_data<F: Fabric>(ctx: &F, ptrs: &Arc<Vec<AtomicUsize>>) {
     am::barrier(ctx);
 }
 
+const H_PING: am::HandlerId = 102;
+const H_PONG: am::HandlerId = 103;
+
+/// What node 1's ping handler observed. Violations are counted rather than
+/// asserted inside the handler, so a broken guard fails the test after the
+/// final barrier instead of stranding the peer node in it.
+struct PingLog {
+    served: AtomicU64,
+    /// Handler entries on a task that was already running the handler.
+    recursed: AtomicU64,
+    /// Dispatches of ping `i`.
+    seen: Vec<AtomicU64>,
+}
+
+impl PingLog {
+    fn new(n: u64) -> Arc<Self> {
+        Arc::new(PingLog {
+            served: AtomicU64::new(0),
+            recursed: AtomicU64::new(0),
+            seen: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        })
+    }
+
+    fn served(&self) -> u64 {
+        self.served.load(Ordering::Acquire)
+    }
+
+    fn assert_exactly_once_without_recursion(&self) {
+        assert_eq!(self.recursed.load(Ordering::Acquire), 0, "poll recursed");
+        for (i, c) in self.seen.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Acquire), 1, "ping {i} dispatch count");
+        }
+    }
+}
+
+/// Register a ping handler that replies to its sender from inside the poll
+/// that dispatched it. A reply's poll-on-send that re-entered `poll` would
+/// dispatch the next queued ping on the same task, inside this handler.
+fn ping_replier<F: Fabric>(ctx: &F, log: Arc<PingLog>) {
+    let inside: Mutex<HashSet<TaskId>> = Mutex::new(HashSet::new());
+    am::register(ctx, H_PING, move |ctx, m| {
+        let me = ctx.task_id();
+        let outermost = inside.lock().insert(me);
+        if !outermost {
+            log.recursed.fetch_add(1, Ordering::AcqRel);
+        }
+        log.seen[m.args[0] as usize].fetch_add(1, Ordering::AcqRel);
+        if ctx.wall_clock() {
+            // Widen the window in which other pollers overlap this one.
+            std::thread::yield_now();
+        }
+        am::endpoint(ctx).to(m.src).handler(H_PONG).send();
+        if outermost {
+            inside.lock().remove(&me);
+        }
+        log.served.fetch_add(1, Ordering::AcqRel);
+    });
+}
+
+/// Node 0 sends `n` pings to node 1 and waits for every pong.
+fn ping_sender<F: Fabric>(ctx: &F, n: u64) {
+    let pongs = Arc::new(AtomicU64::new(0));
+    let p = Arc::clone(&pongs);
+    am::register(ctx, H_PONG, move |_, _| {
+        p.fetch_add(1, Ordering::AcqRel);
+    });
+    am::barrier(ctx);
+    let ep = am::endpoint(ctx);
+    for i in 0..n {
+        ep.to(1).handler(H_PING).args([i, 0, 0, 0]).send();
+    }
+    am::wait_until(ctx, move || pongs.load(Ordering::Acquire) >= n);
+}
+
+/// A handler that sends from inside a poll does not make the poll recurse:
+/// node 0 floods node 1, so more pings are queued whenever a ping
+/// handler's reply runs poll-on-send.
+fn battery_no_recursive_poll<F: Fabric>(ctx: &F) {
+    const N: u64 = 300;
+    setup(ctx);
+    if ctx.node() == 0 {
+        ping_sender(ctx, N);
+        am::barrier(ctx);
+    } else {
+        let log = PingLog::new(N);
+        ping_replier(ctx, Arc::clone(&log));
+        am::barrier(ctx);
+        am::wait_until(ctx, || log.served() >= N);
+        am::barrier(ctx);
+        log.assert_exactly_once_without_recursion();
+    }
+}
+
 // ------------------------------------------------------------------ drivers
 
 macro_rules! conformance {
@@ -376,6 +471,51 @@ conformance!(
     coalesced_flush_before_sync_read_local,
     2
 );
+
+conformance!(
+    battery_no_recursive_poll,
+    no_recursive_poll_sim,
+    no_recursive_poll_local,
+    2
+);
+
+/// Wall-clock only: more tasks poll one node than the poll guard has
+/// lock-free seats, so some polls take the locked fallback. Recursion must
+/// still be suppressed for every task, and every frame dispatched exactly
+/// once.
+#[test]
+fn more_pollers_than_seats_local() {
+    const N: u64 = 3_000;
+    const POLLERS: usize = 12;
+    LocalFabric::run(2, |ctx| {
+        setup(&ctx);
+        if ctx.node() == 0 {
+            ping_sender(&ctx, N);
+            am::barrier(&ctx);
+        } else {
+            let log = PingLog::new(N);
+            ping_replier(&ctx, Arc::clone(&log));
+            let pollers: Vec<_> = (0..POLLERS)
+                .map(|_| {
+                    let log = Arc::clone(&log);
+                    ctx.spawn("poller", move |c| {
+                        while log.served() < N {
+                            if am::poll(&c) == 0 {
+                                c.park_for_inbox();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            am::barrier(&ctx);
+            for t in pollers {
+                ctx.join(t);
+            }
+            am::barrier(&ctx);
+            log.assert_exactly_once_without_recursion();
+        }
+    });
+}
 
 /// Wall-clock only: a sender that goes completely silent after buffering —
 /// no flush, no poll, no further sends — still gets its messages delivered,

@@ -19,11 +19,14 @@
 //!
 //! Asserted bounds (the process aborts on regression, failing `cargo bench`):
 //! * raw short-message round trip — **0** allocations;
+//! * AM short round trip on the wall-clock `LocalFabric`, metrics on —
+//!   **0** allocations;
 //! * AM bulk send — bounded (the payload buffer and its transfer frames),
 //!   currently ≤ 16 allocations per send.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpmd_am as am;
+use mpmd_fabric::{Fabric, LocalFabric};
 use mpmd_sim::{Payload, Sim};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,6 +112,45 @@ fn count_short_round_trips() -> u64 {
     DELTA.load(Relaxed)
 }
 
+/// AM-layer short round trips on `LocalFabric` with its default metrics on:
+/// endpoint send with poll-on-send, the handler table, the poll guard, the
+/// per-message counters and the thread-owned metric blocks. Counted on node
+/// 0's task thread (a `LocalFabric` task is an OS thread).
+fn count_local_am_round_trips() -> u64 {
+    static DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
+    static PONGS: AtomicU64 = AtomicU64::new(0);
+    static PINGS: AtomicU64 = AtomicU64::new(0);
+    const H_PING: am::HandlerId = 41;
+    const H_PONG: am::HandlerId = 42;
+    PONGS.store(0, Relaxed);
+    PINGS.store(0, Relaxed);
+    let total = (WARMUP + OPS) as u64;
+    let r = LocalFabric::run(2, move |fab| {
+        am::init(&fab, am::NetProfile::sp_am_splitc());
+        if fab.node() == 0 {
+            am::register(&fab, H_PONG, |_, _| {
+                PONGS.fetch_add(1, Relaxed);
+            });
+            let trip = |k: u64| {
+                am::endpoint(&fab).to(1).handler(H_PING).send();
+                am::wait_until(&fab, || PONGS.load(Relaxed) > k);
+            };
+            (0..WARMUP as u64).for_each(trip);
+            let before = thread_allocs();
+            (WARMUP as u64..total).for_each(trip);
+            DELTA.store(thread_allocs() - before, Relaxed);
+        } else {
+            am::register(&fab, H_PING, |ctx, _| {
+                PINGS.fetch_add(1, Relaxed);
+                am::endpoint(ctx).to(0).handler(H_PONG).send();
+            });
+            am::wait_until(&fab, || PINGS.load(Relaxed) == total);
+        }
+    });
+    assert!(r.metrics.is_some(), "LocalFabric metrics must be on");
+    DELTA.load(Relaxed)
+}
+
 /// AM-layer bulk writes: each send builds a 1 KiB payload (caller buffer),
 /// ships it through the endpoint, and the receiver's handler drops it.
 fn count_bulk_sends() -> u64 {
@@ -151,6 +193,12 @@ fn bench_alloc_counts(c: &mut Criterion) {
     assert_eq!(
         short_allocs, 0,
         "short-message round trips must stay allocation-free"
+    );
+    let local_allocs = count_local_am_round_trips();
+    println!("alloc_count/local_am_round_trip: {local_allocs} allocs / {OPS} ops");
+    assert_eq!(
+        local_allocs, 0,
+        "LocalFabric AM short round trips must stay allocation-free with metrics on"
     );
     let bulk_allocs = count_bulk_sends();
     let per_send = bulk_allocs.div_ceil(OPS as u64);

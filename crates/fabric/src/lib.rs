@@ -34,6 +34,42 @@ use mpmd_sim::{
 };
 use std::sync::Arc;
 
+/// A per-message event counter of the AM layer. Each variant names the
+/// [`Stats`] field it counts into; [`Fabric::count`] is the typed way to
+/// bump one, so a backend can keep these hot counters outside the locked
+/// `Stats` block.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum StatCounter {
+    /// [`Stats::short_msgs`].
+    ShortMsgs,
+    /// [`Stats::bulk_msgs`].
+    BulkMsgs,
+    /// [`Stats::polls`].
+    Polls,
+    /// [`Stats::handlers_run`].
+    HandlersRun,
+}
+
+impl StatCounter {
+    /// Every variant, in declaration order (index = `self as usize`).
+    pub const ALL: [StatCounter; 4] = [
+        StatCounter::ShortMsgs,
+        StatCounter::BulkMsgs,
+        StatCounter::Polls,
+        StatCounter::HandlersRun,
+    ];
+
+    /// The `Stats` field this counter feeds.
+    pub fn field(self, s: &mut Stats) -> &mut u64 {
+        match self {
+            StatCounter::ShortMsgs => &mut s.short_msgs,
+            StatCounter::BulkMsgs => &mut s.bulk_msgs,
+            StatCounter::Polls => &mut s.polls,
+            StatCounter::HandlersRun => &mut s.handlers_run,
+        }
+    }
+}
+
 /// The simulated-kernel fabric: the existing deterministic virtual-time
 /// engine. All historical behavior (scheduling order, charges, reports) is
 /// preserved exactly — the trait impl is a pass-through.
@@ -89,6 +125,13 @@ pub trait Fabric: Clone + Send + 'static {
     /// counters it owns (charges, frame counts) elsewhere; [`LocalFabric`]
     /// does, and they read as zero here. [`Fabric::snapshot`] reports all.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R;
+
+    /// Add `n` to this node's per-message counter `c`. The default goes
+    /// through [`Fabric::with_stats`]; [`LocalFabric`] keeps these counters
+    /// as relaxed atomics, and [`Fabric::snapshot`] reports them either way.
+    fn count(&self, c: StatCounter, n: u64) {
+        self.with_stats(|s| *c.field(s) += n);
+    }
 
     /// Capture all node clocks/stats (quiesce with a barrier first).
     fn snapshot(&self) -> Snapshot;

@@ -27,6 +27,12 @@
 //! * **One cache-padded shard per node** ([`NodeShard`]): no two nodes
 //!   share a cache line, the fabric's own counters are relaxed atomics,
 //!   and `node_data` hits come from a per-thread cache without a lock.
+//! * **Cache-line-owned ring slots**: every [`Slot`] is 128-byte aligned,
+//!   so publishing slot k+1 never invalidates the line the consumer is
+//!   reading for slot k, and an empty link is detected without a lock.
+//! * **Thread-owned metrics** ([`OwnedMetric`]): each task thread records
+//!   histograms and counters into blocks only it writes; snapshots merge
+//!   the blocks by name, and a finished task's blocks fold into its shard.
 //!
 //! Semantics relative to the simulated fabric:
 //!
@@ -46,15 +52,17 @@
 //!   rejects cost models with a fault model installed, so the reliable
 //!   layer stays in its plain-send mode.
 
-use crate::Fabric;
+use crate::{Fabric, StatCounter};
+use mpmd_sim::metrics::bucket_index;
 use mpmd_sim::{
-    size_bucket, Bucket, CostModel, MetricsRegistry, Msg, NodeMetrics, Payload, Report, Snapshot,
-    SpanId, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, NUM_BUCKETS,
+    size_bucket, Bucket, CostModel, Histogram, MetricsRegistry, Msg, NodeMetrics, Payload, Report,
+    Snapshot, SpanId, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, HIST_BUCKETS,
+    NUM_BUCKETS,
 };
 use std::any::{Any, TypeId};
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -71,10 +79,17 @@ struct Pad<T>(T);
 ///   (`pos ≡ i (mod cap)`); initial state is `seq = i`.
 /// * `seq == pos + 1`  — published by that producer, ready for the consumer.
 /// * `seq == pos + cap` — consumed; free for the *next lap's* producer.
+///
+/// A stamp plus a message is 112 bytes; the 128-byte alignment gives every
+/// slot a line pair of its own, so a producer publishing slot k+1 never
+/// invalidates the line the consumer is reading for slot k.
+#[repr(align(128))]
 struct Slot {
     seq: AtomicUsize,
     msg: UnsafeCell<Option<Msg>>,
 }
+
+const _: () = assert!(std::mem::align_of::<Slot>() == 128);
 
 /// One direction of one link: a bounded lock-free ring plus an unbounded
 /// mutex-guarded overflow queue, so sends never block and never drop.
@@ -114,9 +129,37 @@ struct Ring {
     overflow_len: Pad<AtomicUsize>,
     /// Overflow slow path; doubles as the producer-serialization point for
     /// full-ring traffic. Never touched by the lock-free fast path.
-    prod: Mutex<VecDeque<Msg>>,
-    /// Serializes consumers.
-    cons: Mutex<()>,
+    prod: Pad<Mutex<VecDeque<Msg>>>,
+    /// Serializes consumers. Padded: every pop writes it, and unpadded it
+    /// would share a line with `slots` and `mask`, which every push reads.
+    cons: Pad<Mutex<()>>,
+}
+
+/// Slot arrays of finished runs, reset to their initial state and reused
+/// by later runs of the same capacity. Allocating 128-byte-aligned arrays
+/// afresh for every run fragments the C heap (the aligned allocator splits
+/// off small leftovers that keep a freed array from coalescing): without
+/// the pool, 20 back-to-back 2-node runs ended 0.3 MB higher in peak RSS.
+/// Bounded, so a large run does not pin its rings for the rest of the
+/// process.
+static SLOT_POOL: Mutex<Vec<Box<[Slot]>>> = Mutex::new(Vec::new());
+const SLOT_POOL_MAX: usize = 16;
+
+impl Drop for Ring {
+    fn drop(&mut self) {
+        let Ok(mut pool) = SLOT_POOL.lock() else {
+            return;
+        };
+        if pool.len() < SLOT_POOL_MAX {
+            let mut slots = std::mem::take(&mut self.slots);
+            // Frames never received are dropped with the run.
+            for (i, s) in slots.iter_mut().enumerate() {
+                *s.seq.get_mut() = i;
+                *s.msg.get_mut() = None;
+            }
+            pool.push(slots);
+        }
+    }
 }
 
 // Slot payloads are written only by the producer that CAS-claimed the
@@ -132,19 +175,26 @@ impl Ring {
         // carried as a 2-slot ring (behavior — constant overflow churn —
         // is identical).
         let capacity = capacity.max(2);
+        let pooled = {
+            let mut pool = SLOT_POOL.lock().unwrap();
+            let i = pool.iter().position(|s| s.len() == capacity);
+            i.map(|i| pool.swap_remove(i))
+        };
         Ring {
-            slots: (0..capacity)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    msg: UnsafeCell::new(None),
-                })
-                .collect(),
+            slots: pooled.unwrap_or_else(|| {
+                (0..capacity)
+                    .map(|i| Slot {
+                        seq: AtomicUsize::new(i),
+                        msg: UnsafeCell::new(None),
+                    })
+                    .collect()
+            }),
             mask: capacity - 1,
             tail: Pad(AtomicUsize::new(0)),
             head: Pad(AtomicUsize::new(0)),
             overflow_len: Pad(AtomicUsize::new(0)),
-            prod: Mutex::new(VecDeque::new()),
-            cons: Mutex::new(()),
+            prod: Pad(Mutex::new(VecDeque::new())),
+            cons: Pad(Mutex::new(())),
         }
     }
 
@@ -192,8 +242,18 @@ impl Ring {
         // Free the slot for the next lap's producer, then advance.
         slot.seq
             .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
-        self.head.0.store(pos.wrapping_add(1), Ordering::Relaxed);
+        self.head.0.store(pos.wrapping_add(1), Ordering::Release);
         msg
+    }
+
+    /// Lock-free emptiness probe: the head slot is unpublished and nothing
+    /// is queued in the overflow. A consumer racing another may read a
+    /// stale `head` and report a non-empty link as empty; every caller
+    /// re-checks through `inbox_wait`, whose depth test sees the frame.
+    fn looks_empty(&self) -> bool {
+        let pos = self.head.0.load(Ordering::Acquire);
+        self.slots[pos & self.mask].seq.load(Ordering::Acquire) != pos.wrapping_add(1)
+            && self.overflow_len.0.load(Ordering::Acquire) == 0
     }
 
     fn push(&self, msg: Msg) {
@@ -203,7 +263,7 @@ impl Ring {
         if self.overflow_len.0.load(Ordering::Acquire) == 0 && self.try_push_ring(&mut msg) {
             return;
         }
-        let mut overflow = self.prod.lock().unwrap();
+        let mut overflow = self.prod.0.lock().unwrap();
         // Re-check under the lock: the consumer may have drained the
         // overflow (and freed ring slots) since the fast-path probe.
         if overflow.is_empty() && self.try_push_ring(&mut msg) {
@@ -214,14 +274,19 @@ impl Ring {
     }
 
     fn pop(&self) -> Option<Msg> {
-        let _c = self.cons.lock().unwrap();
+        // Most probes find the link empty (the self link always, and the
+        // last scan of every poll): answer those without taking `cons`.
+        if self.looks_empty() {
+            return None;
+        }
+        let _c = self.cons.0.lock().unwrap();
         if let Some(m) = self.try_pop_ring() {
             return Some(m);
         }
         if self.overflow_len.0.load(Ordering::Acquire) == 0 {
             return None;
         }
-        let mut overflow = self.prod.lock().unwrap();
+        let mut overflow = self.prod.0.lock().unwrap();
         // See the type docs: ring publishes sequenced before the oldest
         // overflow append became visible when we acquired `prod` — drain
         // them first or per-link FIFO breaks.
@@ -315,7 +380,8 @@ struct TaskRec {
 pub struct LocalConfig {
     /// Blocking-wait escalation policy (see [`WaitPolicy`]).
     pub wait: WaitPolicy,
-    /// Per-link ring capacity (power of two; 1 is carried as 2).
+    /// Per-link ring capacity (power of two; 1 is carried as 2). The
+    /// default, 512 slots of 128 bytes, is 64 KiB per link.
     pub ring_capacity: usize,
     /// Best-effort pinning of each node's threads to core
     /// `node % available_parallelism` (Linux; silently unsupported
@@ -330,7 +396,7 @@ impl Default for LocalConfig {
             // Host-adaptive: on a single-CPU machine spinning starves the
             // very peer being waited for (see `WaitPolicy::auto_for`).
             wait: WaitPolicy::auto_for(std::thread::available_parallelism().map_or(1, |p| p.get())),
-            ring_capacity: 1024,
+            ring_capacity: 512,
             pin_cores: false,
         }
     }
@@ -347,6 +413,9 @@ struct FabricCounters {
     msgs_received: AtomicU64,
     bytes_sent: AtomicU64,
     msg_size_hist: [AtomicU64; 8],
+    /// The AM layer's per-message counters ([`Fabric::count`]), indexed by
+    /// `StatCounter as usize`.
+    am: [AtomicU64; StatCounter::ALL.len()],
 }
 
 impl FabricCounters {
@@ -361,6 +430,163 @@ impl FabricCounters {
         for (acc, c) in s.msg_size_hist.iter_mut().zip(&self.msg_size_hist) {
             *acc += get(c);
         }
+        for (which, c) in StatCounter::ALL.into_iter().zip(&self.am) {
+            *which.field(s) += get(c);
+        }
+    }
+}
+
+/// One thread's share of one metric name on one node. Only the thread that
+/// created it writes it (a `LocalFabric` task is an OS thread), so a record
+/// is relaxed loads and stores, with no lock and no read-modify-write.
+/// Readers merge blocks by name in [`ShardMetrics::snapshot`].
+struct OwnedMetric {
+    name: &'static str,
+    value: OwnedValue,
+}
+
+enum OwnedValue {
+    Counter(AtomicU64),
+    Hist(Box<OwnedHist>),
+}
+
+/// A [`Histogram`] with one writer and any number of readers, behind a
+/// sequence lock: `seq` is odd while a record is in progress, and a reader
+/// retries until it copies all fields between two equal even reads.
+struct OwnedHist {
+    seq: AtomicU64,
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: [AtomicU64; HIST_BUCKETS],
+}
+
+impl OwnedHist {
+    fn new() -> Self {
+        OwnedHist {
+            seq: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// [`Histogram::record`] for the owning thread.
+    fn record(&self, v: u64) {
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let put = |a: &AtomicU64, x: u64| a.store(x, Ordering::Relaxed);
+        let seq = get(&self.seq);
+        put(&self.seq, seq + 1);
+        // Pairs with the reader's Acquire fence: a reader that copies any
+        // field stored below sees the odd stamp (or later) on its re-read.
+        fence(Ordering::Release);
+        let n = get(&self.count);
+        let (lo, hi) = if n == 0 {
+            (v, v)
+        } else {
+            (get(&self.min).min(v), get(&self.max).max(v))
+        };
+        put(&self.min, lo);
+        put(&self.max, hi);
+        put(&self.count, n + 1);
+        put(&self.sum, get(&self.sum) + v);
+        let b = &self.buckets[bucket_index(v)];
+        put(b, get(b) + 1);
+        // Pairs with the reader's first Acquire load of `seq`.
+        self.seq.store(seq + 2, Ordering::Release);
+    }
+
+    /// A consistent copy, taken from any thread.
+    fn read(&self) -> Histogram {
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        loop {
+            let seq = self.seq.load(Ordering::Acquire);
+            if seq.is_multiple_of(2) {
+                let h = Histogram {
+                    count: get(&self.count),
+                    sum: get(&self.sum),
+                    min: get(&self.min),
+                    max: get(&self.max),
+                    buckets: std::array::from_fn(|i| get(&self.buckets[i])),
+                };
+                fence(Ordering::Acquire);
+                if get(&self.seq) == seq {
+                    return h;
+                }
+            }
+            // The owner is mid-record (or was preempted there).
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl OwnedMetric {
+    fn new(name: &'static str, hist: bool) -> Self {
+        let value = if hist {
+            OwnedValue::Hist(Box::new(OwnedHist::new()))
+        } else {
+            OwnedValue::Counter(AtomicU64::new(0))
+        };
+        OwnedMetric { name, value }
+    }
+
+    /// Record `v`: a sample into a histogram, a delta into a counter. Only
+    /// the owning thread calls this.
+    fn record(&self, v: u64) {
+        match &self.value {
+            OwnedValue::Counter(c) => c.store(c.load(Ordering::Relaxed) + v, Ordering::Relaxed),
+            OwnedValue::Hist(h) => h.record(v),
+        }
+    }
+
+    fn is(&self, name: &'static str, hist: bool) -> bool {
+        std::ptr::eq(self.name, name) && matches!(self.value, OwnedValue::Hist(_)) == hist
+    }
+
+    /// Add this block's current contents to `m` under its name. An empty
+    /// histogram adds nothing, as `NodeMetrics` never holds one.
+    fn add_to(&self, m: &mut NodeMetrics) {
+        match &self.value {
+            OwnedValue::Counter(c) => {
+                *m.counters.entry(self.name).or_insert(0) += c.load(Ordering::Relaxed);
+            }
+            OwnedValue::Hist(h) => {
+                let h = h.read();
+                if h.count > 0 {
+                    m.hists.entry(self.name).or_default().merge(&h);
+                }
+            }
+        }
+    }
+}
+
+/// A node's metrics when the registry is on.
+#[derive(Default)]
+struct ShardMetrics {
+    /// Gauges, keyed counters, and the folded blocks of finished tasks.
+    folded: NodeMetrics,
+    /// Blocks of threads that may still record. A task's blocks leave this
+    /// list when it finishes, so it holds at most the live tasks' blocks.
+    live: Vec<Arc<OwnedMetric>>,
+}
+
+impl ShardMetrics {
+    fn snapshot(&self) -> NodeMetrics {
+        let mut m = self.folded.clone();
+        for b in &self.live {
+            b.add_to(&mut m);
+        }
+        m
+    }
+
+    /// Fold a finished thread's block into `folded`. Both happen under the
+    /// shard mutex, so a snapshot counts the block exactly once.
+    fn retire(&mut self, block: &Arc<OwnedMetric>) {
+        self.live.retain(|b| !Arc::ptr_eq(b, block));
+        block.add_to(&mut self.folded);
     }
 }
 
@@ -380,8 +606,11 @@ struct NodeShard {
     /// per-thread [`NODE_DATA`] cache, so this lock is taken once per
     /// (task, type).
     data: Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>,
-    /// Metrics shard; `None` when the registry is off.
-    metrics: Option<Mutex<NodeMetrics>>,
+    /// Metrics shard; `None` when the registry is off. Histograms and
+    /// counters are recorded in thread-owned blocks; the mutex is taken to
+    /// register a block, to fold one, to snapshot, and for gauges and keyed
+    /// counters.
+    metrics: Option<Mutex<ShardMetrics>>,
     /// Round-robin start index for the link scan, so one chatty neighbor
     /// cannot starve the others.
     rotate: AtomicUsize,
@@ -396,7 +625,7 @@ impl NodeShard {
             counters: FabricCounters::default(),
             stats: Mutex::new(Stats::default()),
             data: Mutex::new(HashMap::new()),
-            metrics: metrics.then(|| Mutex::new(NodeMetrics::default())),
+            metrics: metrics.then(|| Mutex::new(ShardMetrics::default())),
             rotate: AtomicUsize::new(0),
         }
     }
@@ -484,9 +713,25 @@ impl LfInner {
             nodes: self
                 .shards
                 .iter()
-                .map(|s| s.metrics.as_ref().unwrap().lock().unwrap().clone())
+                .map(|s| s.metrics.as_ref().unwrap().lock().unwrap().snapshot())
                 .collect(),
         })
+    }
+
+    /// Fold this thread's metric blocks of this run into their shards. Run
+    /// by every task thread when its body returns.
+    fn retire_metrics(&self) {
+        METRICS.with(|c| {
+            c.borrow_mut().retain(|e| {
+                if e.run != self.run {
+                    return true;
+                }
+                if let Some(m) = &self.shards[e.node].metrics {
+                    m.lock().unwrap().retire(&e.block);
+                }
+                false
+            })
+        });
     }
 
     /// Join a spawned task's thread, keeping the first panic for `run`.
@@ -535,6 +780,18 @@ thread_local! {
     /// later run on that thread must never see the earlier run's state.
     /// Entries of other runs are dropped on the next miss.
     static NODE_DATA: RefCell<Vec<CachedData>> = const { RefCell::new(Vec::new()) };
+
+    /// This thread's metric blocks, keyed like [`NODE_DATA`] by run and
+    /// node, and by the name's address. Entries of other runs are dropped
+    /// on the next miss.
+    static METRICS: RefCell<Vec<CachedMetric>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One [`METRICS`] entry.
+struct CachedMetric {
+    run: u64,
+    node: usize,
+    block: Arc<OwnedMetric>,
 }
 
 /// One [`NODE_DATA`] entry.
@@ -577,7 +834,13 @@ impl LocalFabricBuilder {
     }
 
     /// Enable or disable the metrics registry (on by default — wall-clock
-    /// histograms are the point of this backend).
+    /// histograms are the point of this backend). Histograms and counters
+    /// are recorded lock-free into blocks owned by the recording thread: a
+    /// thread's first use of a name allocates its block and registers it
+    /// with the node under a lock, later records take no lock. Snapshots
+    /// and the report merge the blocks by name, and a task's blocks fold
+    /// into its node when it finishes. Gauges and keyed counters are kept
+    /// under the node's metrics lock.
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = on;
         self
@@ -712,6 +975,7 @@ where
             let _ = rec.thread.set(std::thread::current());
             let inner = Arc::clone(&fab.inner);
             f(fab);
+            inner.retire_metrics();
             rec.finished.store(true, Ordering::SeqCst);
             let _g = inner.fin.lock().unwrap();
             if !daemon && inner.live.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -782,6 +1046,26 @@ impl LocalFabric {
 
     fn shard(&self) -> &NodeShard {
         &self.inner.shards[self.node]
+    }
+
+    /// Record `v` into this thread's block for metric `name` on this node,
+    /// creating the block and registering it with the shard on first use.
+    fn record_owned(&self, m: &Mutex<ShardMetrics>, name: &'static str, hist: bool, v: u64) {
+        let (run, node) = (self.inner.run, self.node);
+        METRICS.with(|c| {
+            let mut c = c.borrow_mut();
+            if let Some(e) = c
+                .iter()
+                .find(|e| e.run == run && e.node == node && e.block.is(name, hist))
+            {
+                return e.block.record(v);
+            }
+            let block = Arc::new(OwnedMetric::new(name, hist));
+            m.lock().unwrap().live.push(Arc::clone(&block));
+            block.record(v);
+            c.retain(|e| e.run == run);
+            c.push(CachedMetric { run, node, block });
+        })
     }
 
     /// Run `f` with this thread's wait-escalation state.
@@ -902,10 +1186,15 @@ impl Fabric for LocalFabric {
     }
 
     /// The fabric's own counters (`bucket_ns`, `msgs_sent`,
-    /// `msgs_received`, `bytes_sent`, `msg_size_hist`) are kept outside this
-    /// `Stats` and read as zero here; `snapshot` and the report carry them.
+    /// `msgs_received`, `bytes_sent`, `msg_size_hist`) and the
+    /// [`Fabric::count`] counters are kept outside this `Stats` and read as
+    /// zero here; `snapshot` and the report carry them.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
         f(&mut self.shard().stats.lock().unwrap())
+    }
+
+    fn count(&self, c: StatCounter, n: u64) {
+        self.shard().counters.am[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -1099,7 +1388,7 @@ impl Fabric for LocalFabric {
 
     fn metric_observe(&self, name: &'static str, v: u64) {
         if let Some(m) = &self.shard().metrics {
-            m.lock().unwrap().hists.entry(name).or_default().record(v);
+            self.record_owned(m, name, true, v);
         }
     }
 
@@ -1119,7 +1408,7 @@ impl Fabric for LocalFabric {
 
     fn metric_counter_add(&self, name: &'static str, delta: u64) {
         if let Some(m) = &self.shard().metrics {
-            *m.lock().unwrap().counters.entry(name).or_insert(0) += delta;
+            self.record_owned(m, name, false, delta);
         }
     }
 
@@ -1127,6 +1416,7 @@ impl Fabric for LocalFabric {
         if let Some(m) = &self.shard().metrics {
             *m.lock()
                 .unwrap()
+                .folded
                 .keyed
                 .entry(name)
                 .or_default()
@@ -1137,7 +1427,7 @@ impl Fabric for LocalFabric {
 
     fn metric_gauge_set(&self, name: &'static str, v: u64) {
         if let Some(m) = &self.shard().metrics {
-            m.lock().unwrap().gauges.insert(name, v);
+            m.lock().unwrap().folded.gauges.insert(name, v);
         }
     }
 
@@ -1300,6 +1590,14 @@ mod tests {
             }
             fab.charge(Bucket::Cpu, 7);
             fab.with_stats(|s| s.polls += 1);
+            // The AM layer's per-message counters live in shard atomics and
+            // are folded on top of the locked `Stats`.
+            fab.count(StatCounter::Polls, 2);
+            fab.count(StatCounter::ShortMsgs, K);
+            fab.count(StatCounter::BulkMsgs, 3);
+            for _ in 0..K {
+                fab.count(StatCounter::HandlersRun, 1);
+            }
             let mut got = 0;
             while got < K {
                 match fab.try_recv() {
@@ -1324,9 +1622,127 @@ mod tests {
             }
             assert_eq!(s.bucket_ns[Bucket::Net.index()], 10 * K);
             assert_eq!(s.bucket_ns[Bucket::Cpu.index()], 7);
-            assert_eq!(s.polls, 1);
+            assert_eq!(s.polls, 1 + 2);
+            assert_eq!(s.short_msgs, K);
+            assert_eq!(s.bulk_msgs, 3);
+            assert_eq!(s.handlers_run, K);
         }
         assert_eq!(snap.lock().unwrap().take(), Some(r.stats[0].clone()));
+    }
+
+    #[test]
+    fn thread_owned_histograms_merge_exactly() {
+        // Four tasks on one node record into blocks only they write; the
+        // registry must merge them into the exact distribution.
+        const SAMPLES: u64 = 10_000;
+        let r = LocalFabric::run(1, |fab| {
+            let tasks: Vec<_> = (0..4u64)
+                .map(|t| {
+                    fab.spawn("rec", move |c| {
+                        for i in 0..SAMPLES {
+                            c.metric_observe("test.owned", t * SAMPLES + i + 1);
+                            c.metric_counter_add("test.owned_count", 2);
+                        }
+                    })
+                })
+                .collect();
+            for t in tasks {
+                fab.join(t);
+            }
+        });
+        let m = r.metrics.expect("metrics on by default");
+        let h = m.nodes[0]
+            .hists
+            .get("test.owned")
+            .expect("merged histogram");
+        let n = 4 * SAMPLES;
+        assert_eq!(h.count, n);
+        assert_eq!(h.sum, n * (n + 1) / 2);
+        assert_eq!((h.min, h.max), (1, n));
+        assert_eq!(h.buckets.iter().sum::<u64>(), n);
+        assert_eq!(m.nodes[0].counters.get("test.owned_count"), Some(&(2 * n)));
+    }
+
+    #[test]
+    fn finished_tasks_fold_their_metric_blocks() {
+        // Every spawned task registers a block and exits: the shard's live
+        // list must not grow with the number of tasks ever run.
+        const CYCLES: u64 = 20_000;
+        let peak = Arc::new(AtomicUsize::new(0));
+        let p2 = Arc::clone(&peak);
+        let r = LocalFabric::run(1, move |fab| {
+            for i in 0..CYCLES {
+                let t = fab.spawn("obs", move |c| c.metric_observe("test.cycle", i));
+                fab.join(t);
+                let live = fab
+                    .shard()
+                    .metrics
+                    .as_ref()
+                    .unwrap()
+                    .lock()
+                    .unwrap()
+                    .live
+                    .len();
+                p2.fetch_max(live, Ordering::Relaxed);
+            }
+        });
+        // The root records nothing, and a joined task has already folded.
+        assert_eq!(peak.load(Ordering::Relaxed), 0);
+        let h = r.metrics.unwrap().nodes[0].hists["test.cycle"].clone();
+        assert_eq!(h.count, CYCLES);
+        assert_eq!(h.sum, CYCLES * (CYCLES - 1) / 2);
+    }
+
+    #[test]
+    fn mid_run_snapshots_difference_cleanly() {
+        // Snapshots taken while other tasks record, spawn and exit must be
+        // monotone: `since` panics on any counter that went backwards and on
+        // a histogram whose count grew without its buckets.
+        let r = LocalFabric::run(1, |fab| {
+            let stop = Arc::new(AtomicBool::new(false));
+            let recorders: Vec<_> = (0..2)
+                .map(|_| {
+                    let stop = Arc::clone(&stop);
+                    fab.spawn("rec", move |c| {
+                        let mut v = 0u64;
+                        while !stop.load(Ordering::Relaxed) {
+                            c.metric_observe("test.live", v % 4096);
+                            c.metric_counter_add("test.live_count", 1);
+                            v += 1;
+                            if v.is_multiple_of(512) {
+                                let t = c.spawn("short", |s| s.metric_observe("test.live", 7));
+                                c.join(t);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let mut prev = fab.snapshot().metrics.unwrap();
+            // At least 2000 snapshots, and on until the recorders (whose
+            // threads may start late) have left 20k samples.
+            let recorded =
+                |m: &MetricsRegistry| m.nodes[0].hists.get("test.live").map_or(0, |h| h.count);
+            let mut taken = 0;
+            while taken < 2_000 || recorded(&prev) < 20_000 {
+                taken += 1;
+                let next = fab.snapshot().metrics.unwrap();
+                let d = next.since(&prev);
+                let h = d.nodes[0].hists.get("test.live");
+                assert_eq!(
+                    h.map_or(0, |h| h.count),
+                    h.map_or(0, |h| h.buckets.iter().sum::<u64>())
+                );
+                prev = next;
+            }
+            stop.store(true, Ordering::Relaxed);
+            for t in recorders {
+                fab.join(t);
+            }
+        });
+        let m = r.metrics.unwrap();
+        let h = &m.nodes[0].hists["test.live"];
+        assert_eq!(h.count, h.buckets.iter().sum::<u64>());
+        assert!(m.nodes[0].counters["test.live_count"] > 0);
     }
 
     #[test]

@@ -11,13 +11,17 @@
 //! exactly the path being proven: ring push (lock-free slot claim, message
 //! moved by value into the slot), parker bump (two atomics), adaptive wait
 //! (TLS `Waiter`, futex park), ring pop — plus the per-thread `node_data`
-//! cache every AM send and poll reads its endpoint state through.
+//! cache every AM send and poll reads its endpoint state through, and the
+//! per-message instrumentation the AM layer adds with metrics on: the
+//! typed `count` of each send, poll and handler, the inbox-depth and
+//! latency histograms, and a named counter. The metric blocks are
+//! thread-owned and allocated only on a thread's first use of a name.
 //!
-//! After warm-up (TLS waiter init, stats maps, thread start-up debris), a
-//! steady-state run of `Payload::Short` ping-pongs on node 0's thread must
-//! perform **zero** heap allocations.
+//! After warm-up (TLS waiter init, metric blocks, thread start-up debris),
+//! a steady-state run of `Payload::Short` ping-pongs on node 0's thread
+//! must perform **zero** heap allocations.
 
-use mpmd_fabric::{Fabric, LocalFabric};
+use mpmd_fabric::{Fabric, LocalFabric, StatCounter};
 use mpmd_sim::Payload;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,11 +81,19 @@ fn short() -> Payload {
 /// Stand-in for the AM layer's per-node endpoint state.
 struct NodeState(AtomicU64);
 
-/// A `node_data` read, as each AM send and poll does.
+/// A `node_data` read, as each AM send and poll does, and the metrics
+/// each records.
 fn touch_node_data(fab: &LocalFabric) {
     fab.node_data(|| NodeState(AtomicU64::new(0)))
         .0
         .fetch_add(1, Relaxed);
+    let t0 = fab.metric_now().expect("metrics are on by default");
+    fab.count(StatCounter::ShortMsgs, 1);
+    fab.count(StatCounter::Polls, 1);
+    fab.count(StatCounter::HandlersRun, 1);
+    fab.metric_inbox_depth("test.inbox_depth");
+    fab.metric_counter_add("test.sends", 1);
+    fab.metric_observe_since("test.op_ns", t0);
 }
 
 /// One short-message round trip: node 0 sends, node 1 receives and replies.

@@ -8,9 +8,12 @@
 //! before touching the overflow — including the re-check-under-lock subtlety
 //! documented on `Ring::pop`. These tests hammer exactly those transitions
 //! through the public API: a 1-slot ring (carried internally as 2 slots)
-//! overflows on nearly every send, a 1024-slot ring overflows in bursts.
+//! overflows on nearly every send; the default 512-slot ring and a
+//! 1024-slot ring overflow in bursts. Slots are 128-byte aligned, and
+//! `Ring::pop` answers an empty link without taking the consumer lock, so
+//! the receivers here also race that lock-free probe against publishes.
 
-use mpmd_fabric::{Fabric, LocalFabricBuilder};
+use mpmd_fabric::{Fabric, LocalConfig, LocalFabricBuilder};
 use mpmd_sim::Payload;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,7 +67,16 @@ fn fifo_across_overflow_one_slot_ring() {
 
 #[test]
 fn fifo_across_overflow_default_ring() {
-    // 1024 slots: long fast-path runs punctuated by overflow bursts.
+    // The default capacity: long fast-path runs punctuated by overflow
+    // bursts.
+    let cap = LocalConfig::default().ring_capacity;
+    assert_eq!(cap, 512);
+    fifo_blast(cap, 50_000);
+}
+
+#[test]
+fn fifo_across_overflow_1024_slot_ring() {
+    // The pre-alignment default: twice the lap length between overflows.
     fifo_blast(1024, 50_000);
 }
 

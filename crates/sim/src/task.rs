@@ -242,26 +242,33 @@ impl TaskPool {
 
 impl Drop for TaskPool {
     fn drop(&mut self) {
-        let mut workers = std::mem::take(&mut *self.workers.lock());
+        let workers = std::mem::take(&mut *self.workers.lock());
         // Queue a shutdown for every worker whose command slot is free. A
-        // worker still hosting a live parked task (possible only if the
-        // simulation aborted by panic) keeps its Run job in flight and is
-        // detached below rather than joined.
-        for w in &workers {
-            let mut cmd = w.slot.cmd.lock();
-            if cmd.is_none() {
-                *cmd = Some(WorkerCmd::Shutdown);
-                w.slot.cv.notify_all();
-            }
-        }
-        for w in &mut workers {
+        // worker whose slot still holds an untaken Run job gets none: it may
+        // yet take the job, finish it and wait for a command nobody sends.
+        let stopping: Vec<Worker> = workers
+            .into_iter()
+            .filter(|w| {
+                let mut cmd = w.slot.cmd.lock();
+                let free = cmd.is_none();
+                if free {
+                    *cmd = Some(WorkerCmd::Shutdown);
+                    w.slot.cv.notify_all();
+                }
+                free
+            })
+            .collect();
+        // Join exactly the workers that were sent Shutdown and are idle:
+        // they take it and exit. The rest are detached — a worker still
+        // hosting a live parked task (possible only if the simulation
+        // aborted by panic) never returns, and a just-finishing one exits
+        // on the queued Shutdown by itself.
+        for mut w in stopping {
             if !w.slot.busy.load(Ordering::Acquire) {
                 if let Some(h) = w.handle.take() {
                     let _ = h.join();
                 }
             }
-            // Busy (or just-finishing) workers: detach. A just-finishing
-            // worker will observe the queued Shutdown and exit cleanly.
         }
     }
 }
@@ -397,6 +404,42 @@ mod tests {
             c.thread().resume_task();
         }
         assert_eq!(pool.worker_count(), 8);
+    }
+
+    #[test]
+    fn drop_after_concurrent_jobs_never_hangs() {
+        // Regression: Drop used to skip a worker whose slot still held its
+        // untaken Run job, and then join it once the job had run, although
+        // that worker was never sent Shutdown. A watchdog turns such a hang
+        // into a failure.
+        let done = Arc::new(AtomicBool::new(false));
+        let d2 = Arc::clone(&done);
+        let rounds = thread::spawn(move || {
+            for _ in 0..200 {
+                let pool = TaskPool::new();
+                let gate = EngineGate::new();
+                let mut cells = Vec::new();
+                for _ in 0..8 {
+                    let cell = Arc::new(TaskCell::Threads(HandoffCell::new()));
+                    pool.dispatch(idle_job(&cell, &gate));
+                    cells.push(cell);
+                }
+                for c in cells {
+                    c.thread().resume_task();
+                }
+                drop(pool);
+            }
+            d2.store(true, Ordering::Release);
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done.load(Ordering::Acquire) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "TaskPool::drop hung: 200 dispatch/resume/drop rounds took over 10 s"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        rounds.join().unwrap();
     }
 
     #[test]
