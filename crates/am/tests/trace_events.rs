@@ -68,7 +68,10 @@ fn am_trace_events_match_the_counters() {
         }
     }
     let t = r.total_stats();
-    assert!(t.retransmits > 0, "the fault model never forced a retransmit");
+    assert!(
+        t.retransmits > 0,
+        "the fault model never forced a retransmit"
+    );
     assert!(t.agg_flushes > 0, "traffic never coalesced");
     assert_eq!(rt, t.retransmits, "one Retransmit event per retransmit");
     assert_eq!(cf, t.agg_flushes, "one CoalesceFlush event per flush");
