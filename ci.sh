@@ -44,14 +44,8 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> table4 --json smoke test"
+# The binary exits nonzero unless its rows carry per-bucket totals.
 cargo run --release -p mpmd-bench --bin table4 -- 50 --json results/table4.json >/dev/null
-python3 - <<'EOF' 2>/dev/null || node -e "JSON.parse(require('fs').readFileSync('results/table4.json'))" 2>/dev/null || \
-    grep -q '"bucket_us"' results/table4.json
-import json
-d = json.load(open("results/table4.json"))
-assert d["table"] == "table4" and d["rows"], "table4.json missing rows"
-assert "bucket_us" in d["rows"][0]["cc"], "per-bucket totals missing"
-EOF
 echo "results/table4.json OK"
 
 echo "==> fig5 parallel-runner determinism smoke"
@@ -88,48 +82,18 @@ echo "==> LocalFabric smoke (wall-clock backend: null-RMI + barrier ring)"
 # trips or barrier rounds) and nonzero wall-clock histograms, and checks
 # em3d ghost fields bit-match a simulator run of the same parameters.
 ./target/release/local --rmi-iters 500 --barriers 200 --json /tmp/ci_local.json
-python3 - <<'EOF' 2>/dev/null || node -e "
-  const d = JSON.parse(require('fs').readFileSync('/tmp/ci_local.json'));
-  if (d.null_rmi.rtt_wall.count !== 500) throw new Error('lost null-RMI round trips');
-  if (!(d.null_rmi.rtt_wall.p50_ns > 0)) throw new Error('empty wall RTT histogram');
-  if (d.barrier_ring.latency_wall.count !== 200) throw new Error('lost barrier rounds');
-  if (!(d.barrier_ring.latency_wall.p50_ns > 0)) throw new Error('empty barrier histogram');
-  if (!d.em3d_ghost.matches_sim) throw new Error('em3d diverged between fabrics');
-" 2>/dev/null || grep -q '"matches_sim": true' /tmp/ci_local.json
-import json
-d = json.load(open("/tmp/ci_local.json"))
-assert d["table"] == "local"
-assert d["null_rmi"]["rtt_wall"]["count"] == 500, "lost null-RMI round trips"
-assert d["null_rmi"]["rtt_wall"]["p50_ns"] > 0, "empty wall-clock RTT histogram"
-assert d["barrier_ring"]["latency_wall"]["count"] == 200, "lost barrier rounds"
-assert d["barrier_ring"]["latency_wall"]["p50_ns"] > 0, "empty barrier histogram"
-assert d["em3d_ghost"]["matches_sim"], "em3d diverged between fabrics"
-EOF
 rm -f /tmp/ci_local.json
 echo "LocalFabric smoke OK"
 
 echo "==> faults smoke test (reliable delivery under a lossy wire)"
 # Nonzero fault rates must leave application results bitwise identical to
-# the fault-free baseline (the binary exits nonzero on divergence), produce
-# parseable JSON with reliability activity, and be seed-deterministic:
-# two same-seed runs emit byte-identical JSON.
+# the fault-free baseline and cause retransmissions (the binary exits
+# nonzero otherwise), and be seed-deterministic: two same-seed runs emit
+# byte-identical JSON.
 ./target/release/faults --quick --json /tmp/ci_faults_a.json >/tmp/ci_faults_a.out
 ./target/release/faults --quick --json /tmp/ci_faults_b.json >/tmp/ci_faults_b.out
 cmp /tmp/ci_faults_a.json /tmp/ci_faults_b.json
 cmp /tmp/ci_faults_a.out /tmp/ci_faults_b.out
-python3 - <<'EOF' 2>/dev/null || node -e "
-  const d = JSON.parse(require('fs').readFileSync('/tmp/ci_faults_a.json'));
-  if (!d.all_match) throw new Error('faulty run diverged from baseline');
-  const retx = d.cells.reduce((a, c) => a + (c.counts.retransmits || 0), 0);
-  if (!(retx > 0)) throw new Error('no retransmissions under faults');
-" 2>/dev/null || grep -q '"all_match": true' /tmp/ci_faults_a.json
-import json
-d = json.load(open("/tmp/ci_faults_a.json"))
-assert d["table"] == "faults" and d["cells"], "faults.json missing cells"
-assert d["all_match"], "faulty run diverged from the fault-free baseline"
-retx = sum(c["counts"].get("retransmits", 0) for c in d["cells"])
-assert retx > 0, "no retransmissions under nonzero drop rates"
-EOF
 rm -f /tmp/ci_faults_a.json /tmp/ci_faults_b.json /tmp/ci_faults_a.out /tmp/ci_faults_b.out
 echo "faults smoke + seeded determinism OK"
 
@@ -137,43 +101,17 @@ echo "==> ablation coalescing smoke (em3d on/off)"
 # The coalescing axis self-verifies: the binary asserts (and exits nonzero
 # otherwise) that with aggregation on, em3d results are bit-identical in
 # both runtimes, the wire carries strictly fewer messages (>= 25% fewer
-# under Split-C), and net time decreases. Check the JSON agrees.
+# under Split-C), and net time decreases.
 ./target/release/ablation 25 --coalescing --json /tmp/ci_ablation_co.json >/dev/null
-python3 - <<'EOF' 2>/dev/null || node -e "
-  const d = JSON.parse(require('fs').readFileSync('/tmp/ci_ablation_co.json'));
-  for (const lang of ['splitc-ghost', 'ccxx-ghost']) {
-    const c = d.em3d_coalescing[lang];
-    if (!(c.on.msgs_sent < c.off.msgs_sent)) throw new Error(lang + ': no message reduction');
-    if (!(c.on.net_ns < c.off.net_ns)) throw new Error(lang + ': no net reduction');
-  }
-" 2>/dev/null || grep -q '"em3d_coalescing"' /tmp/ci_ablation_co.json
-import json
-d = json.load(open("/tmp/ci_ablation_co.json"))
-for lang in ("splitc-ghost", "ccxx-ghost"):
-    c = d["em3d_coalescing"][lang]
-    assert c["on"]["msgs_sent"] < c["off"]["msgs_sent"], f"{lang}: no message reduction"
-    assert c["on"]["net_ns"] < c["off"]["net_ns"], f"{lang}: no net reduction"
-assert d["em3d_coalescing"]["splitc-ghost"]["msgs_drop_pct"] >= 25.0
-EOF
 rm -f /tmp/ci_ablation_co.json
 echo "ablation coalescing smoke OK"
 
 echo "==> regress smoke (quick observability suite vs checked-in baseline)"
 # The perf-regression gate itself: rerun the quick-scale suite with metrics
 # on and diff every gated metric against the committed baseline (loose
-# per-metric tolerances; the binary exits nonzero on regression).
+# per-metric tolerances). The binary exits nonzero on regression, on an
+# empty null-RMI histogram, and on an experiment cell without histograms.
 ./target/release/regress --quick --json /tmp/ci_regress.json >/dev/null
-python3 - <<'EOF' 2>/dev/null || node -e "
-  const d = JSON.parse(require('fs').readFileSync('/tmp/ci_regress.json'));
-  if (!(d.null_rmi.rtt_ns.p50 > 0)) throw new Error('empty null-RMI histogram');
-" 2>/dev/null || grep -q '"p50"' /tmp/ci_regress.json
-import json
-d = json.load(open("/tmp/ci_regress.json"))
-assert d["table"] == "regress" and d["schema_version"] >= 2
-assert d["null_rmi"]["rtt_ns"]["p50"] > 0, "empty null-RMI histogram"
-assert d["experiments"], "no experiment cells"
-assert all("hists" in e for e in d["experiments"].values())
-EOF
 rm -f /tmp/ci_regress.json
 echo "regress quick gate OK"
 
@@ -255,22 +193,10 @@ echo "==> schedule exploration sweep (mini model checker)"
 # event ties, forced slow paths) across the workload configs must uphold
 # the any-schedule invariants: byte-identical fault-free reports, checksum
 # identity under faults, zero short-path allocations, replay fidelity.
-# The binary exits nonzero on any violation and prints the shrunk trace;
-# --quick covers 500+ perturbations and must finish inside a minute.
+# The binary exits nonzero on any violation (printing the shrunk trace)
+# and when it covers fewer than 3 configurations or 500 perturbations;
+# --quick must finish inside a minute.
 timeout 60 ./target/release/explore --quick --json /tmp/ci_explore.json
-python3 - <<'EOF' 2>/dev/null || node -e "
-  const d = JSON.parse(require('fs').readFileSync('/tmp/ci_explore.json'));
-  if (!(d.perturbations >= 500)) throw new Error('fewer than 500 perturbations');
-  if (!(d.configs >= 3)) throw new Error('fewer than 3 configurations');
-  if (d.violations.length) throw new Error('invariant violations reported');
-" 2>/dev/null || grep -q '"violations": \[\]' /tmp/ci_explore.json
-import json
-d = json.load(open("/tmp/ci_explore.json"))
-assert d["table"] == "explore"
-assert d["perturbations"] >= 500, "fewer than 500 schedule perturbations"
-assert d["configs"] >= 3, "fewer than 3 configurations"
-assert d["violations"] == [], f"violations: {d['violations']}"
-EOF
 rm -f /tmp/ci_explore.json
 echo "explore sweep OK"
 

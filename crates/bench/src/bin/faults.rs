@@ -77,6 +77,10 @@ fn main() {
     let retx: u64 = faulty.iter().map(|c| c.breakdown.counts.retransmits).sum();
     let dups: u64 = faulty.iter().map(|c| c.breakdown.counts.dup_drops).sum();
     println!("{retx} retransmissions and {dups} duplicate suppressions across faulty runs");
+    if retx == 0 {
+        eprintln!("no retransmissions under nonzero drop rates: the fault model never fired");
+        std::process::exit(1);
+    }
     if mismatches.is_empty() {
         println!("all faulty runs reproduced the fault-free application results bit for bit");
     } else {

@@ -75,6 +75,9 @@ const LOCAL_TOLERANCE: f64 = 0.50;
 const FASTPATH_BASELINE: &str = "results/BENCH_fastpath.json";
 const LOCAL_BASELINE: &str = "results/BENCH_local.json";
 
+// Reports carry histogram objects from schema version 2 on.
+const _: () = assert!(SCHEMA_VERSION >= 2);
+
 /// The baseline half of a wall-clock gate. Under `--update-baseline` the
 /// report replaces the committed `baseline` and `None` ends the gate;
 /// otherwise the committed copy is read and returned untouched, so a failed
@@ -449,6 +452,27 @@ fn main() {
         wall_all.elapsed().as_secs_f64(),
     );
     print_summary(iters, &rmi, &cells);
+    if rmi.p50() == 0 || cells.is_empty() {
+        eprintln!("error: empty null-RMI histogram or no experiment cells");
+        std::process::exit(1);
+    }
+    for c in &cells {
+        if c.breakdown
+            .metrics
+            .as_ref()
+            .unwrap()
+            .global()
+            .hists
+            .is_empty()
+        {
+            eprintln!(
+                "error: {} {} recorded no histograms",
+                c.lang.label(),
+                c.label
+            );
+            std::process::exit(1);
+        }
+    }
 
     let out = json_out.unwrap_or_else(|| PathBuf::from("results/BENCH_observability.json"));
     write_json(&out, &report);

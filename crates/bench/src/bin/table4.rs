@@ -16,6 +16,13 @@ fn main() {
     reject_unknown_args(&args, USAGE);
     eprintln!("running Table 4 micro-benchmarks ({iters} iterations each)...");
     let rows = run_table4(iters);
+    if !rows
+        .first()
+        .is_some_and(|r| r.cc.bucket_us.iter().sum::<f64>() > 0.0)
+    {
+        eprintln!("table4: no rows, or the first row has no per-bucket totals");
+        std::process::exit(1);
+    }
 
     let headers = [
         "benchmark",

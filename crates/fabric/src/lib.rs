@@ -5,10 +5,12 @@
 //! `mpmd-ccxx`) need from the machine underneath is captured by one trait,
 //! [`Fabric`]: frame send/receive, node identity, task scheduling
 //! (spawn/park/wake, timeout wakes for the reliable-layer pump), clock
-//! reads, cost accounting, and the metric/trace hooks. The layers above are
-//! generic over `F: Fabric` with **static dispatch**, so the simulated
-//! backend compiles to exactly the code it was before the trait existed —
-//! byte-identical reports, zero-allocation fast path intact.
+//! reads, cost accounting, and instrumentation: metric hooks, spans, and
+//! one [`Fabric::trace_event`] hook for every other trace event (handler
+//! frames, retransmits, coalesce flushes, duplicate drops, barriers). The
+//! layers above are generic over `F: Fabric` with **static dispatch**, so
+//! the simulated backend compiles to exactly the code it was before the
+//! trait existed — byte-identical reports, zero-allocation fast path intact.
 //!
 //! Two implementations ship here:
 //!
@@ -31,6 +33,7 @@ pub use mpmd_sim::{WaitPhase, WaitPolicy, Waiter};
 
 use mpmd_sim::{
     Bucket, CostModel, Ctx, FaultDecision, Msg, Payload, Snapshot, SpanId, Stats, TaskId, Time,
+    TraceEvent,
 };
 use std::sync::Arc;
 
@@ -244,20 +247,10 @@ pub trait Fabric: Clone + Send + 'static {
 
     // ---- instrumentation (all optional) ------------------------------
 
-    /// Whether a tracer is installed.
-    fn tracing_enabled(&self) -> bool {
-        false
-    }
-
-    /// Whether a metrics registry is installed.
-    fn metrics_enabled(&self) -> bool {
-        false
-    }
-
     /// This node's clock, but only when metrics are on (cheap start-stamp
     /// for latency measurements; pair with [`Fabric::metric_observe_since`]).
     fn metric_now(&self) -> Option<Time> {
-        self.metrics_enabled().then(|| self.now())
+        None
     }
 
     /// Record `v` into this node's histogram `name`.
@@ -278,16 +271,6 @@ pub trait Fabric: Clone + Send + 'static {
     /// Add `delta` to this node's counter `name`.
     fn metric_counter_add(&self, name: &'static str, delta: u64) {
         let _ = (name, delta);
-    }
-
-    /// Add `delta` to this node's keyed counter `name[key]`.
-    fn metric_keyed_add(&self, name: &'static str, key: u64, delta: u64) {
-        let _ = (name, key, delta);
-    }
-
-    /// Set this node's gauge `name` to `v`.
-    fn metric_gauge_set(&self, name: &'static str, v: u64) {
-        let _ = (name, v);
     }
 
     /// Open a named span frame on this task; the sentinel `SpanId(0)` means
@@ -311,44 +294,10 @@ pub trait Fabric: Clone + Send + 'static {
         }
     }
 
-    /// Record the start of an AM handler (frame named `am.handler[<id>]`).
-    fn handler_start(&self, handler: u32) {
-        let _ = handler;
-    }
-
-    /// Close the handler frame opened by [`Fabric::handler_start`].
-    fn handler_end(&self, handler: u32) {
-        let _ = handler;
-    }
-
-    /// Record a reliable-delivery retransmission (point event).
-    fn trace_retransmit(&self, dst: usize, seq: u64) {
-        let _ = (dst, seq);
-    }
-
-    /// Record a coalescing-layer flush (point event).
-    fn trace_coalesce_flush(&self, dst: usize, msgs: u64, wire_bytes: usize) {
-        let _ = (dst, msgs, wire_bytes);
-    }
-
-    /// Record a duplicate-suppression drop (point event).
-    fn trace_dup_drop(&self, src: usize, seq: u64) {
-        let _ = (src, seq);
-    }
-
-    /// Record entry into a global barrier (point event).
-    fn barrier_enter(&self, epoch: u64) {
-        let _ = epoch;
-    }
-
-    /// Record release from a global barrier (point event).
-    fn barrier_exit(&self, epoch: u64) {
-        let _ = epoch;
-    }
-
-    /// Debug marker.
-    fn trace(&self, msg: &str) {
-        let _ = msg;
+    /// Record `ev` on this task: a point event (retransmit, coalesce flush,
+    /// duplicate drop, barrier enter/exit) or a handler frame's start/end.
+    fn trace_event(&self, ev: TraceEvent) {
+        let _ = ev;
     }
 }
 
@@ -490,14 +439,6 @@ impl Fabric for Ctx {
         Ctx::node_data_on(self, node, init)
     }
     #[inline]
-    fn tracing_enabled(&self) -> bool {
-        Ctx::tracing_enabled(self)
-    }
-    #[inline]
-    fn metrics_enabled(&self) -> bool {
-        Ctx::metrics_enabled(self)
-    }
-    #[inline]
     fn metric_now(&self) -> Option<Time> {
         Ctx::metric_now(self)
     }
@@ -513,41 +454,14 @@ impl Fabric for Ctx {
     fn metric_counter_add(&self, name: &'static str, delta: u64) {
         Ctx::metric_counter_add(self, name, delta)
     }
-    fn metric_keyed_add(&self, name: &'static str, key: u64, delta: u64) {
-        Ctx::metric_keyed_add(self, name, key, delta)
-    }
-    fn metric_gauge_set(&self, name: &'static str, v: u64) {
-        Ctx::metric_gauge_set(self, name, v)
-    }
     fn span_start(&self, name: &str) -> SpanId {
         Ctx::span_start(self, name)
     }
     fn span_end(&self, id: SpanId) {
         Ctx::span_end(self, id)
     }
-    fn handler_start(&self, handler: u32) {
-        Ctx::handler_start(self, handler)
-    }
-    fn handler_end(&self, handler: u32) {
-        Ctx::handler_end(self, handler)
-    }
-    fn trace_retransmit(&self, dst: usize, seq: u64) {
-        Ctx::trace_retransmit(self, dst, seq)
-    }
-    fn trace_coalesce_flush(&self, dst: usize, msgs: u64, wire_bytes: usize) {
-        Ctx::trace_coalesce_flush(self, dst, msgs, wire_bytes)
-    }
-    fn trace_dup_drop(&self, src: usize, seq: u64) {
-        Ctx::trace_dup_drop(self, src, seq)
-    }
-    fn barrier_enter(&self, epoch: u64) {
-        Ctx::barrier_enter(self, epoch)
-    }
-    fn barrier_exit(&self, epoch: u64) {
-        Ctx::barrier_exit(self, epoch)
-    }
-    fn trace(&self, msg: &str) {
-        Ctx::trace(self, msg)
+    fn trace_event(&self, ev: TraceEvent) {
+        Ctx::trace_event(self, ev)
     }
 }
 
@@ -594,7 +508,6 @@ mod tests {
                 fn body<F: Fabric>(c: &F) {
                     let sp = Fabric::span(c, "test");
                     assert_eq!(sp.id(), SpanId(0));
-                    assert!(!c.tracing_enabled());
                     assert!(c.metric_now().is_none());
                 }
                 body(c)

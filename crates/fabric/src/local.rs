@@ -56,8 +56,7 @@ use crate::{Fabric, StatCounter};
 use mpmd_sim::metrics::bucket_index;
 use mpmd_sim::{
     size_bucket, Bucket, CostModel, Histogram, MetricsRegistry, Msg, NodeMetrics, Payload, Report,
-    Snapshot, SpanId, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, HIST_BUCKETS,
-    NUM_BUCKETS,
+    Snapshot, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, HIST_BUCKETS, NUM_BUCKETS,
 };
 use std::any::{Any, TypeId};
 use std::cell::{RefCell, UnsafeCell};
@@ -566,7 +565,7 @@ impl OwnedMetric {
 /// A node's metrics when the registry is on.
 #[derive(Default)]
 struct ShardMetrics {
-    /// Gauges, keyed counters, and the folded blocks of finished tasks.
+    /// The folded blocks of finished tasks.
     folded: NodeMetrics,
     /// Blocks of threads that may still record. A task's blocks leave this
     /// list when it finishes, so it holds at most the live tasks' blocks.
@@ -608,8 +607,7 @@ struct NodeShard {
     data: Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>,
     /// Metrics shard; `None` when the registry is off. Histograms and
     /// counters are recorded in thread-owned blocks; the mutex is taken to
-    /// register a block, to fold one, to snapshot, and for gauges and keyed
-    /// counters.
+    /// register a block, to fold one, and to snapshot.
     metrics: Option<Mutex<ShardMetrics>>,
     /// Round-robin start index for the link scan, so one chatty neighbor
     /// cannot starve the others.
@@ -839,8 +837,7 @@ impl LocalFabricBuilder {
     /// thread's first use of a name allocates its block and registers it
     /// with the node under a lock, later records take no lock. Snapshots
     /// and the report merge the blocks by name, and a task's blocks fold
-    /// into its node when it finishes. Gauges and keyed counters are kept
-    /// under the node's metrics lock.
+    /// into its node when it finishes.
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = on;
         self
@@ -1382,8 +1379,8 @@ impl Fabric for LocalFabric {
         Arc::downcast::<T>(data).expect("node_data type confusion")
     }
 
-    fn metrics_enabled(&self) -> bool {
-        self.inner.metrics
+    fn metric_now(&self) -> Option<Time> {
+        self.inner.metrics.then(|| self.now())
     }
 
     fn metric_observe(&self, name: &'static str, v: u64) {
@@ -1410,29 +1407,6 @@ impl Fabric for LocalFabric {
         if let Some(m) = &self.shard().metrics {
             self.record_owned(m, name, false, delta);
         }
-    }
-
-    fn metric_keyed_add(&self, name: &'static str, key: u64, delta: u64) {
-        if let Some(m) = &self.shard().metrics {
-            *m.lock()
-                .unwrap()
-                .folded
-                .keyed
-                .entry(name)
-                .or_default()
-                .entry(key)
-                .or_insert(0) += delta;
-        }
-    }
-
-    fn metric_gauge_set(&self, name: &'static str, v: u64) {
-        if let Some(m) = &self.shard().metrics {
-            m.lock().unwrap().folded.gauges.insert(name, v);
-        }
-    }
-
-    fn span_start(&self, _name: &str) -> SpanId {
-        SpanId(0)
     }
 }
 

@@ -2,13 +2,10 @@
 //!
 //! PR 7 proved the simulated kernel's short-message round trip allocates
 //! nothing in steady state; this test extends the guarantee to
-//! `LocalFabric`. The mechanics mirror `crates/sim/tests/alloc_count.rs`: a
-//! counting `#[global_allocator]` with a **per-thread** count in
-//! const-initialized TLS (process-wide counters race with the libtest
-//! harness's lazily-allocated channel `Context`; see the sim test's module
-//! docs). Here per-thread counting is not just convenient but required —
-//! `LocalFabric` runs every task as its own OS thread, so node 0's count is
-//! exactly the path being proven: ring push (lock-free slot claim, message
+//! `LocalFabric`, with the same **per-thread** counting allocator
+//! ([`mpmd_sim::alloc_count`]). Here per-thread counting is not just
+//! convenient but required — `LocalFabric` runs every task as its own OS
+//! thread, so node 0's count is exactly the path being proven: ring push (lock-free slot claim, message
 //! moved by value into the slot), parker bump (two atomics), adaptive wait
 //! (TLS `Waiter`, futex park), ring pop — plus the per-thread `node_data`
 //! cache every AM send and poll reads its endpoint state through, and the
@@ -22,47 +19,9 @@
 //! must perform **zero** heap allocations.
 
 use mpmd_fabric::{Fabric, LocalFabric, StatCounter};
+use mpmd_sim::alloc_count::{thread_allocs, Counting};
 use mpmd_sim::Payload;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-struct Counting;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Bump this thread's count. `try_with` so a (hypothetical) allocation
-/// during TLS teardown cannot panic inside the allocator.
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(l) }
-    }
-
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(l) }
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(p, l, n) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-}
 
 #[global_allocator]
 static COUNTER: Counting = Counting;

@@ -390,20 +390,6 @@ impl Ctx {
         crate::engine::snapshot(&self.inner)
     }
 
-    /// Whether a tracer is installed (so callers can skip building event
-    /// payloads when tracing is off). Lock-free.
-    #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.tracing_on
-    }
-
-    /// Whether a metrics registry is installed (so callers can skip
-    /// computing observation values when metrics are off). Lock-free.
-    #[inline]
-    pub fn metrics_enabled(&self) -> bool {
-        self.inner.metrics_on
-    }
-
     /// This node's current clock, but only when a metrics registry is
     /// installed — the lock-free way to grab a latency-measurement start
     /// timestamp that costs a branch when metrics are off. Pair with
@@ -464,30 +450,6 @@ impl Ctx {
         }
     }
 
-    /// Add `delta` to this node's keyed counter `name[key]` (e.g. per-peer
-    /// tallies). No-op when no registry is installed.
-    pub fn metric_keyed_add(&self, name: &'static str, key: u64, delta: u64) {
-        if !self.inner.metrics_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        if let Some(m) = k.metrics.as_mut() {
-            m.keyed_add(self.node, name, key, delta);
-        }
-    }
-
-    /// Set this node's gauge `name` to `v`. No-op when no registry is
-    /// installed.
-    pub fn metric_gauge_set(&self, name: &'static str, v: u64) {
-        if !self.inner.metrics_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        if let Some(m) = k.metrics.as_mut() {
-            m.gauge_set(self.node, name, v);
-        }
-    }
-
     /// Open a named span frame on this task. Returns the sentinel
     /// `SpanId(0)` when tracing is off (then [`Ctx::span_end`] is a no-op).
     ///
@@ -532,94 +494,15 @@ impl Ctx {
         }
     }
 
-    /// Record the start of an Active Message handler (opens a frame named
-    /// `am.handler[<id>]`). Emitted by the messaging layer *before* the
-    /// receive overhead is charged, so the frame covers the handler's full
-    /// cost.
-    pub fn handler_start(&self, handler: u32) {
+    /// Record `ev` on this task: a point event (retransmit, coalesce flush,
+    /// duplicate drop, barrier enter/exit) or a handler frame's start/end.
+    /// No-op (one branch, no lock) when tracing is off.
+    pub fn trace_event(&self, ev: TraceEvent) {
         if !self.inner.tracing_on {
             return;
         }
         let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::HandlerStart { handler });
-    }
-
-    /// Close the handler frame opened by [`Ctx::handler_start`].
-    pub fn handler_end(&self, handler: u32) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::HandlerEnd { handler });
-    }
-
-    /// Record a reliable-delivery retransmission (point event).
-    pub fn trace_retransmit(&self, dst: usize, seq: u64) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::Retransmit { dst, seq });
-    }
-
-    /// Record a coalescing-layer flush (point event).
-    pub fn trace_coalesce_flush(&self, dst: usize, msgs: u64, wire_bytes: usize) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(
-            self.node,
-            self.task,
-            TraceEvent::CoalesceFlush {
-                dst,
-                msgs,
-                wire_bytes,
-            },
-        );
-    }
-
-    /// Record a duplicate-suppression drop (point event).
-    pub fn trace_dup_drop(&self, src: usize, seq: u64) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::DupDrop { src, seq });
-    }
-
-    /// Record entry into a global barrier (point event).
-    pub fn barrier_enter(&self, epoch: u64) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::BarrierEnter { epoch });
-    }
-
-    /// Record release from a global barrier (point event).
-    pub fn barrier_exit(&self, epoch: u64) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::BarrierExit { epoch });
-    }
-
-    /// Debug marker: recorded as a [`TraceEvent::Mark`] (and printed to
-    /// stderr when the stderr sink is enabled). No-op when tracing is off.
-    pub fn trace(&self, msg: &str) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(
-            self.node,
-            self.task,
-            TraceEvent::Mark {
-                text: msg.to_string(),
-            },
-        );
+        k.emit(self.node, self.task, ev);
     }
 }
 

@@ -388,16 +388,6 @@ impl Sim {
         self
     }
 
-    /// Emit a line per scheduling event to stderr (debugging aid).
-    ///
-    /// Deprecated shim: equivalent to
-    /// `tracing(TraceConfig::stderr_only())`. Prefer [`Sim::tracing`], which
-    /// also collects the structured event log.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on.then(TraceConfig::stderr_only);
-        self
-    }
-
     /// Run `main` once per node (as each node's initial task) to completion
     /// of *all* tasks, and return the measurements.
     ///
@@ -730,10 +720,7 @@ mod tests {
         let cfg = SimConfig {
             nodes: 7,
             cost: CostModel::default().with_metrics(),
-            trace: Some(crate::TraceConfig {
-                capacity: 512,
-                stderr: false,
-            }),
+            trace: Some(crate::TraceConfig { capacity: 512 }),
             metrics: true,
             backend: BackendKind::Threads,
         };

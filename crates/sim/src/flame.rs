@@ -192,9 +192,9 @@ mod tests {
         let log = Sim::new(1)
             .tracing(TraceConfig::new())
             .run(|ctx| {
-                ctx.handler_start(7);
+                ctx.trace_event(TraceEvent::HandlerStart { handler: 7 });
                 ctx.charge(Bucket::Net, 9);
-                ctx.handler_end(7);
+                ctx.trace_event(TraceEvent::HandlerEnd { handler: 7 });
             })
             .trace
             .unwrap();

@@ -23,6 +23,7 @@
 //! The messaging layer (`mpmd-am`), threads package (`mpmd-threads`), and the
 //! two language runtimes (`mpmd-splitc`, `mpmd-ccxx`) are built on top.
 
+pub mod alloc_count;
 mod cost;
 mod ctx;
 mod engine;

@@ -27,9 +27,8 @@
 //! Collection is per-node into bounded ring buffers: when a ring overflows,
 //! the oldest records are discarded and counted in
 //! [`NodeTrace::dropped`] — truncation is never silent. The finished
-//! [`TraceLog`] reconstructs span timelines ([`TraceLog::spans`]), builds
-//! log2 latency histograms ([`TraceLog::span_histograms`]), and exports to
-//! Chrome `trace_event` JSON ([`TraceLog::to_chrome_trace`], loadable in
+//! [`TraceLog`] reconstructs span timelines ([`TraceLog::spans`]) and
+//! exports to Chrome `trace_event` JSON ([`TraceLog::to_chrome_trace`], loadable in
 //! Perfetto / `chrome://tracing`) or JSON-lines ([`TraceLog::to_jsonl`]).
 
 use crate::stats::Bucket;
@@ -103,8 +102,6 @@ pub enum TraceEvent {
         msgs: u64,
         wire_bytes: usize,
     },
-    /// Free-text debug marker ([`Ctx::trace`](crate::Ctx::trace)).
-    Mark { text: String },
 }
 
 /// A [`TraceEvent`] with its emission context.
@@ -121,20 +118,13 @@ pub struct TraceRecord {
 /// Configuration for [`Sim::tracing`](crate::Sim::tracing).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Ring-buffer capacity per node, in records. `0` disables collection
-    /// (events still reach the stderr sink if enabled).
+    /// Ring-buffer capacity per node, in records. `0` disables collection.
     pub capacity: usize,
-    /// Mirror events to stderr as they happen (the legacy `.trace(true)`
-    /// debug output).
-    pub stderr: bool,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            capacity: 1 << 16,
-            stderr: false,
-        }
+        TraceConfig { capacity: 1 << 16 }
     }
 }
 
@@ -147,21 +137,6 @@ impl TraceConfig {
     pub fn capacity(mut self, records: usize) -> Self {
         self.capacity = records;
         self
-    }
-
-    /// Enable/disable the live stderr sink.
-    pub fn stderr(mut self, on: bool) -> Self {
-        self.stderr = on;
-        self
-    }
-
-    /// The configuration the deprecated `Sim::trace(true)` maps to: no
-    /// buffering, stderr mirroring only.
-    pub fn stderr_only() -> Self {
-        TraceConfig {
-            capacity: 0,
-            stderr: true,
-        }
     }
 }
 
@@ -255,9 +230,6 @@ impl Tracer {
             }
             _ => {}
         }
-        if self.config.stderr {
-            stderr_sink(&rec);
-        }
         let node = &mut self.nodes[rec.node];
         if self.config.capacity == 0 {
             node.dropped += 1;
@@ -337,39 +309,6 @@ fn count_orphan_ends(events: &VecDeque<TraceRecord>) -> u64 {
         }
     }
     orphans
-}
-
-/// The legacy line-per-event debug output, preserved for `Sim::trace(true)`.
-fn stderr_sink(rec: &TraceRecord) {
-    let t = rec.time;
-    let node = rec.node;
-    match &rec.event {
-        TraceEvent::TaskSpawn { .. } => {
-            eprintln!("[sim] t={} spawn {:?} on node {}", t, rec.task, node);
-        }
-        TraceEvent::MsgSend {
-            dst,
-            wire_bytes,
-            arrives,
-        } => {
-            eprintln!("[sim] t={t} node {node} -> node {dst} ({wire_bytes} B) arrives t={arrives}");
-        }
-        TraceEvent::MsgDeliver { .. } => {
-            eprintln!("[sim] t={t} deliver to node {node}");
-        }
-        TraceEvent::Mark { text } => {
-            eprintln!("[sim] t={} node {} {:?}: {}", t, node, rec.task, text);
-        }
-        TraceEvent::SpanStart { name, .. } => {
-            eprintln!("[sim] t={} node {} {:?} span+ {}", t, node, rec.task, name);
-        }
-        TraceEvent::SpanEnd { .. } => {
-            eprintln!("[sim] t={} node {} {:?} span-", t, node, rec.task);
-        }
-        // Scheduling and charge events are too chatty for the line sink by
-        // default; they are only useful from the collected log.
-        _ => {}
-    }
 }
 
 /// Per-node event stream plus overflow accounting.
@@ -508,25 +447,6 @@ impl TraceLog {
         out
     }
 
-    /// Log2 histograms of span durations by span name: bucket `i` counts
-    /// completed frames with `duration` in `[2^i, 2^(i+1))` ns (bucket 0 also
-    /// holds zero-duration frames). Returned sorted by name.
-    pub fn span_histograms(&self) -> Vec<(String, [u64; 40])> {
-        let mut map: std::collections::BTreeMap<String, [u64; 40]> =
-            std::collections::BTreeMap::new();
-        for s in self.spans() {
-            let h = map.entry(s.name.clone()).or_insert([0; 40]);
-            let d = s.duration();
-            let bucket = if d == 0 {
-                0
-            } else {
-                (63 - d.leading_zeros() as usize).min(39)
-            };
-            h[bucket] += 1;
-        }
-        map.into_iter().collect()
-    }
-
     /// Export as Chrome `trace_event` JSON (the "JSON Array Format"), one
     /// thread track per node: spans and handler frames become `X` duration
     /// events, everything else becomes `i` instant events. Timestamps are
@@ -625,7 +545,7 @@ fn fmt_us(ns: Time) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-/// Minimal JSON string literal encoder for event/span names and marks.
+/// Minimal JSON string literal encoder for event and span names.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -692,7 +612,6 @@ fn instant_fields(ev: &TraceEvent) -> Option<(&'static str, String)> {
             "CoalesceFlush",
             format!(r#"{{"dst":{dst},"msgs":{msgs},"wire_bytes":{wire_bytes}}}"#),
         )),
-        TraceEvent::Mark { text } => Some(("Mark", format!(r#"{{"text":{}}}"#, json_string(text)))),
         // Frames are exported as X events by the span pass.
         TraceEvent::HandlerStart { .. }
         | TraceEvent::HandlerEnd { .. }
@@ -762,7 +681,6 @@ fn jsonl_record(rec: &TraceRecord) -> String {
                 r#""type":"coalesce_flush","dst":{dst},"msgs":{msgs},"wire_bytes":{wire_bytes}"#
             )
         }
-        TraceEvent::Mark { text } => format!(r#""type":"mark","text":{}"#, json_string(text)),
     };
     format!("{head},{tail}}}")
 }
@@ -957,39 +875,14 @@ mod tests {
     }
 
     #[test]
-    fn histograms_use_log2_buckets() {
-        let mut tr = Tracer::new(1, TraceConfig::default());
-        for (start, dur) in [(0u64, 1u64), (10, 3), (100, 1000)] {
-            let id = tr.alloc_span();
-            tr.record(rec(
-                start,
-                0,
-                0,
-                TraceEvent::SpanStart {
-                    id,
-                    name: "op".into(),
-                },
-            ));
-            tr.record(rec(start + dur, 0, 0, TraceEvent::SpanEnd { id }));
-        }
-        let hist = tr.finish().span_histograms();
-        assert_eq!(hist.len(), 1);
-        let (name, h) = &hist[0];
-        assert_eq!(name, "op");
-        assert_eq!(h[0], 1); // 1 ns
-        assert_eq!(h[1], 1); // 3 ns -> [2,4)
-        assert_eq!(h[9], 1); // 1000 ns -> [512,1024)
-    }
-
-    #[test]
     fn jsonl_escapes_and_labels() {
         let mut tr = Tracer::new(1, TraceConfig::default());
         tr.record(rec(
             5,
             0,
             1,
-            TraceEvent::Mark {
-                text: "say \"hi\"\n".into(),
+            TraceEvent::TaskSpawn {
+                name: "say \"hi\"\n".into(),
             },
         ));
         tr.record(TraceRecord {
@@ -1004,13 +897,13 @@ mod tests {
         let jsonl = tr.finish().to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains(r#""text":"say \"hi\"\n""#));
+        assert!(lines[0].contains(r#""name":"say \"hi\"\n""#));
         assert!(lines[1].contains(r#""task":null"#));
         assert!(lines[1].contains(r#""wire_bytes":48"#));
     }
 }
 
 #[cfg(feature = "serde")]
-serde::impl_serialize!(TraceConfig { capacity, stderr });
+serde::impl_serialize!(TraceConfig { capacity });
 #[cfg(feature = "serde")]
-serde::impl_deserialize!(TraceConfig { capacity, stderr });
+serde::impl_deserialize!(TraceConfig { capacity });
