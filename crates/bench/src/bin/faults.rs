@@ -77,10 +77,6 @@ fn main() {
     let retx: u64 = faulty.iter().map(|c| c.breakdown.counts.retransmits).sum();
     let dups: u64 = faulty.iter().map(|c| c.breakdown.counts.dup_drops).sum();
     println!("{retx} retransmissions and {dups} duplicate suppressions across faulty runs");
-    if retx == 0 {
-        eprintln!("no retransmissions under nonzero drop rates: the fault model never fired");
-        std::process::exit(1);
-    }
     if mismatches.is_empty() {
         println!("all faulty runs reproduced the fault-free application results bit for bit");
     } else {
@@ -92,6 +88,10 @@ fn main() {
                 c.drop.unwrap_or(0.0),
             );
         }
+        std::process::exit(1);
+    }
+    if retx == 0 {
+        eprintln!("no retransmissions under nonzero drop rates: the fault model never fired");
         std::process::exit(1);
     }
 }

@@ -28,8 +28,9 @@
 //! the oldest records are discarded and counted in
 //! [`NodeTrace::dropped`] — truncation is never silent. The finished
 //! [`TraceLog`] reconstructs span timelines ([`TraceLog::spans`]) and
-//! exports to Chrome `trace_event` JSON ([`TraceLog::to_chrome_trace`], loadable in
-//! Perfetto / `chrome://tracing`) or JSON-lines ([`TraceLog::to_jsonl`]).
+//! exports to Chrome `trace_event` JSON ([`TraceLog::to_chrome_trace`],
+//! loadable in Perfetto / `chrome://tracing`) or JSON-lines
+//! ([`TraceLog::to_jsonl`]).
 
 use crate::stats::Bucket;
 use crate::task::TaskId;
